@@ -72,7 +72,7 @@ use feataug::pipeline::AugModel;
 use feataug::schema::{enumerate_paths, fit_schema, SchemaGraph, SchemaTask};
 use feataug::{
     AugPlan, FeatAugConfig, PlanHop, PlannedQuery, PredicateQuery, QueryCodec, QueryTemplate,
-    ShardRouter, ShardedServingHandle,
+    ShardRouter,
 };
 use feataug_datagen::{instacart, tmall, GenConfig};
 use feataug_ml::{ModelKind, Task};
@@ -519,7 +519,9 @@ fn main() {
     )
     .expect("shard router builds");
     let shard_handle = std::sync::Arc::new(
-        ShardedServingHandle::prepare(&shard_router, &shard_plan).expect("prepare sharded handle"),
+        shard_router
+            .prepare(&shard_plan)
+            .expect("prepare sharded handle"),
     );
     let mut shard_out: Vec<Option<f64>> = Vec::with_capacity(shard_handle.num_features());
     let mut shard_best = f64::INFINITY;

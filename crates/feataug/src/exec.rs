@@ -216,9 +216,10 @@ fn effective_fan_out_workers(requested: usize, items_len: usize, hardware: usize
 /// large enough that the relaxed-load poll is noise per group.
 pub(crate) const CANCEL_GROUP_STRIDE: usize = 64;
 
-/// Poll `cancel` at a kernel/gather checkpoint. A request without a token
-/// (every search-time evaluation, every deadline-less lookup) returns
-/// immediately — the `kernel.cancel` failpoint is only evaluated when a
+/// Poll `cancel` at a checkpoint of the aggregation loops
+/// ([`QueryEngine::evaluate_cancel`]) or of the serving probe loop (a tier
+/// lookup under a deadline). A request without a token (every search-time
+/// evaluation, every deadline-less lookup) returns immediately — the `kernel.cancel` failpoint is only evaluated when a
 /// token is actually present, so arming it never perturbs plain traffic.
 #[inline]
 pub(crate) fn cancel_checkpoint(
@@ -326,9 +327,11 @@ pub enum EngineError {
         message: String,
     },
     /// The request's [`CancelToken`](feataug_tabular::CancelToken) tripped —
-    /// a deadline fired or the caller cancelled — and the engine abandoned
-    /// the work mid-kernel. Distinct from a failure: the serving tier maps
-    /// it onto its graceful-degradation path (all-NULL features).
+    /// a deadline fired or the caller cancelled — and the work was abandoned
+    /// at a checkpoint: between aggregation groups in
+    /// [`QueryEngine::evaluate_cancel`], between key probes in a serving-tier
+    /// lookup. Distinct from a failure: the serving tier maps it onto its
+    /// graceful-degradation path (all-NULL features).
     Cancelled,
 }
 
@@ -1166,8 +1169,8 @@ impl<'a> QueryEngine<'a> {
         self.evaluate_with(query, None)
     }
 
-    /// [`QueryEngine::evaluate`] under a [`CancelToken`]: the kernel and
-    /// gather loops poll the token at their checkpoints (every
+    /// [`QueryEngine::evaluate`] under a [`CancelToken`]: the aggregation
+    /// loops poll the token at their checkpoints (every
     /// [`CANCEL_GROUP_STRIDE`] groups and at phase boundaries) and abandon
     /// the evaluation with [`EngineError::Cancelled`] the moment it trips —
     /// mid-kernel, not at the next batch boundary. Cancelled evaluations are
@@ -1367,26 +1370,13 @@ impl<'a> QueryEngine<'a> {
         core: &EngineCore<'a>,
         query: &PredicateQuery,
     ) -> EngineResult<SharedGroupFeature> {
-        self.group_feature_cancel(core, query, None)
-    }
-
-    /// [`QueryEngine::group_feature`] under an optional [`CancelToken`]: a
-    /// memo hit costs one probe and never polls; a miss runs the aggregation
-    /// with the token threaded through the kernel checkpoints, and a
-    /// preempted build is not memoized (the next request re-evaluates).
-    pub(crate) fn group_feature_cancel(
-        &self,
-        core: &EngineCore<'a>,
-        query: &PredicateQuery,
-        cancel: Option<&CancelToken>,
-    ) -> EngineResult<SharedGroupFeature> {
         let gi = core.group_index(&self.train, &query.group_keys)?;
         let key = FeatureCache::key(query);
         if let Some(hit) = read_recover(&core.group_feats).get(&key) {
             return Ok((gi, hit.values.clone()));
         }
         self.shared.evaluations.fetch_add(1, Ordering::Relaxed);
-        let built = self.materialize_group_feature(core, query, &gi, cancel)?;
+        let built = self.materialize_group_feature(core, query, &gi)?;
         let entry = Arc::new(GroupFeature {
             query: query.clone(),
             values: built,
@@ -1405,10 +1395,9 @@ impl<'a> QueryEngine<'a> {
         core: &EngineCore<'a>,
         query: &PredicateQuery,
         gi: &GroupIndex,
-        cancel: Option<&CancelToken>,
     ) -> EngineResult<Arc<Vec<Option<f64>>>> {
         let mut scratch = self.take_scratch();
-        let result = core.aggregate_into_scratch(&mut scratch, query, gi, cancel);
+        let result = core.aggregate_into_scratch(&mut scratch, query, gi, None);
         if let Err(e) = result {
             self.put_scratch(scratch);
             return Err(e);
@@ -1479,34 +1468,6 @@ impl<'a> QueryEngine<'a> {
         table: &Table,
         workers: usize,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_threads_cancel(queries, table, workers, None)
-    }
-
-    /// [`QueryEngine::transform`] under a [`CancelToken`]: every query's
-    /// aggregation (on memo miss) and per-row gather poll the token at the
-    /// kernel/gather checkpoints, so one tripped deadline abandons the whole
-    /// transform with [`EngineError::Cancelled`] mid-work.
-    pub fn transform_cancel(
-        &self,
-        queries: &[PredicateQuery],
-        table: &Table,
-        cancel: &CancelToken,
-    ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_threads_cancel(
-            queries,
-            table,
-            workers_for_pool(queries.len()),
-            Some(cancel),
-        )
-    }
-
-    fn transform_threads_cancel(
-        &self,
-        queries: &[PredicateQuery],
-        table: &Table,
-        workers: usize,
-        cancel: Option<&CancelToken>,
-    ) -> EngineResult<Vec<Vec<Option<f64>>>> {
         // Pin one epoch for the whole transform: gather maps, group indexes
         // and per-group features all resolve against the same snapshot even
         // if appends land mid-call.
@@ -1514,7 +1475,6 @@ impl<'a> QueryEngine<'a> {
         let mut maps: HashMap<&[String], Arc<Vec<Option<u32>>>> = HashMap::new();
         for query in queries {
             if !maps.contains_key(query.group_keys.as_slice()) {
-                cancel_checkpoint(cancel)?;
                 let gi = core.group_index(&self.train, &query.group_keys)?;
                 let built = Arc::new(Self::gather_map(&core, table, &query.group_keys, &gi)?);
                 maps.insert(query.group_keys.as_slice(), built);
@@ -1531,9 +1491,8 @@ impl<'a> QueryEngine<'a> {
             |()| (),
             |_, query| -> EngineResult<Vec<Option<f64>>> {
                 crate::fail_point!("exec.gather");
-                let (_, feats) = self.group_feature_cancel(&core, query, cancel)?;
+                let (_, feats) = self.group_feature(&core, query)?;
                 let map = &maps[query.group_keys.as_slice()];
-                cancel_checkpoint(cancel)?;
                 Ok(map
                     .iter()
                     .map(|g| g.and_then(|g| feats[g as usize]))
@@ -1559,19 +1518,6 @@ impl<'a> QueryEngine<'a> {
         self.lookup_pinned(&self.core(), query, key_values)
     }
 
-    /// [`QueryEngine::lookup`] under a [`CancelToken`]: the first lookup of a
-    /// query pays its aggregation with the token threaded through the kernel
-    /// checkpoints, so a deadline preempts it mid-kernel with
-    /// [`EngineError::Cancelled`]; warm lookups stay two hash probes.
-    pub fn lookup_cancel(
-        &self,
-        query: &PredicateQuery,
-        key_values: &[Value],
-        cancel: &CancelToken,
-    ) -> EngineResult<Option<f64>> {
-        self.lookup_pinned_cancel(&self.core(), query, key_values, Some(cancel))
-    }
-
     /// [`QueryEngine::lookup`] against an explicitly pinned epoch — the form
     /// the serving layer and [`crate::pipeline::AugModel::serve`] use so a
     /// multi-query request observes one consistent snapshot.
@@ -1581,16 +1527,6 @@ impl<'a> QueryEngine<'a> {
         query: &PredicateQuery,
         key_values: &[Value],
     ) -> EngineResult<Option<f64>> {
-        self.lookup_pinned_cancel(core, query, key_values, None)
-    }
-
-    pub(crate) fn lookup_pinned_cancel(
-        &self,
-        core: &EngineCore<'a>,
-        query: &PredicateQuery,
-        key_values: &[Value],
-        cancel: Option<&CancelToken>,
-    ) -> EngineResult<Option<f64>> {
         if key_values.len() != query.group_keys.len() {
             return Err(feataug_tabular::TabularError::InvalidArgument(format!(
                 "lookup key has {} values for {} group-key columns",
@@ -1599,7 +1535,7 @@ impl<'a> QueryEngine<'a> {
             ))
             .into());
         }
-        let (gi, feats) = self.group_feature_cancel(core, query, cancel)?;
+        let (gi, feats) = self.group_feature(core, query)?;
         let mut key = Vec::with_capacity(key_values.len());
         for (column, value) in query.group_keys.iter().zip(key_values) {
             match core.serve_atom(column, value)? {
@@ -1833,7 +1769,7 @@ impl<'a> QueryEngine<'a> {
                     let gi = core.group_index(&self.train, &gf.query.group_keys)?;
                     Arc::new(GroupFeature {
                         query: gf.query.clone(),
-                        values: self.materialize_group_feature(&core, &gf.query, &gi, None)?,
+                        values: self.materialize_group_feature(&core, &gf.query, &gi)?,
                         state: FeatureState::None,
                     })
                 }
@@ -1887,7 +1823,7 @@ impl<'a> QueryEngine<'a> {
         let trivial = query.predicate.is_trivial();
 
         if !trivial && matches!(core.relevant.column(&query.agg_column)?, Column::Cat(_)) {
-            let values = self.materialize_group_feature(core, query, gi, None)?;
+            let values = self.materialize_group_feature(core, query, gi)?;
             return Ok(Arc::new(GroupFeature {
                 query: query.clone(),
                 values,
@@ -3669,28 +3605,6 @@ mod tests {
             let plain = engine.evaluate(q).unwrap();
             assert_eq!(with_token, plain, "{}", q.to_sql("R"));
         }
-        // lookup_cancel: preempted cold, correct warm.
-        let q = &queries[0];
-        let tripped = CancelToken::new();
-        tripped.cancel();
-        let fresh = QueryEngine::new(&train, &relevant);
-        assert!(matches!(
-            fresh.lookup_cancel(q, &[Value::Str("a".into())], &tripped),
-            Err(EngineError::Cancelled)
-        ));
-        let live = CancelToken::new();
-        assert_eq!(
-            fresh
-                .lookup_cancel(q, &[Value::Str("a".into())], &live)
-                .unwrap(),
-            fresh.lookup(q, &[Value::Str("a".into())]).unwrap()
-        );
-        // transform_cancel matches transform on the same pinned epoch.
-        let live = CancelToken::new();
-        assert_eq!(
-            fresh.transform_cancel(&queries, &train, &live).unwrap(),
-            fresh.transform(&queries, &train).unwrap()
-        );
     }
 
     #[test]

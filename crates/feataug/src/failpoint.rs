@@ -20,13 +20,17 @@
 //! |                     | inside the panic-contained region                 |
 //! | `exec.ingest.publish` | end of the epoch build, just before the swap    |
 //! |                     | publishes it (still panic-contained)              |
-//! | `kernel.cancel`     | every cancellation checkpoint (kernel strides,    |
-//! |                     | gather loops, serving probes) — but **only** when |
-//! |                     | the work runs under a `CancelToken`; plain        |
-//! |                     | traffic never evaluates it                        |
-//! | `serving.lookup`    | [`crate::serving::ServingHandle::lookup`]         |
-//! | `shard.route`       | the shard router's per-request owning-shard probe |
-//! |                     | and per-shard transform fan-out (panic-contained) |
+//! | `kernel.cancel`     | every cancellation checkpoint — the aggregation   |
+//! |                     | strides of `QueryEngine::evaluate_cancel` and     |
+//! |                     | each key probe of a tier lookup under a deadline  |
+//! |                     | — but **only** when a `CancelToken` is present;   |
+//! |                     | plain traffic never evaluates it                  |
+//! | `serving.lookup`    | the serving handle's probe loop, once per answer  |
+//! |                     | (point, tier and batch lookups alike)             |
+//! | `shard.route`       | the routing step of a serving handle with more    |
+//! |                     | than one shard, the shard router's per-request    |
+//! |                     | owning-shard probe, and its per-shard transform   |
+//! |                     | fan-out (the router's are panic-contained)        |
 //! | `shard.append`      | start of a router-level sharded append, before    |
 //! |                     | any shard's sub-batch dispatches                  |
 //! | `tier.batch`        | the serving tier's worker loop, once per batch    |

@@ -188,14 +188,15 @@
 //! // task's key columns into N independent shard engines behind one router.
 //! // Routed lookups are bit-identical to the unsharded path; appends split
 //! // by the same hash, each shard publishing its own epochs under a single
-//! // router generation. The tier accepts the sharded handle unchanged, and
-//! // per-request deadlines preempt a slow lookup *mid-kernel* through
-//! // cancellation checkpoints (surfacing as the same all-NULL degradation
-//! // as a deadline observed at a batch boundary).
-//! use feataug::{ShardRouter, ShardedServingHandle};
+//! // router generation. `router.prepare` returns the same `ServingHandle`
+//! // type with one shard per engine, so the tier serves it unchanged, and a
+//! // per-request deadline preempts a lookup between its key probes
+//! // (surfacing as the same all-NULL degradation as a deadline observed at
+//! // a batch boundary).
+//! use feataug::ShardRouter;
 //! let plan = model.plan().clone();
 //! let router = ShardRouter::build_for_plan(task.train.clone(), &task.relevant, &plan, 4)?;
-//! let sharded = ShardedServingHandle::prepare(&router, &plan)?;
+//! let sharded = router.prepare(&plan)?;
 //! let shard_tier = feataug::ServingTier::new(sharded, feataug::TierConfig::default());
 //! let row = shard_tier.lookup_deadline(
 //!     &[Value::Str("alice".into())],
@@ -261,8 +262,8 @@ pub use query::{
     PredicateQuery, QueryCodec,
 };
 pub use schema::{fit_schema, JoinPath, SchemaAugModel, SchemaError, SchemaGraph, SchemaTask};
-pub use serving::shard::{ShardEpoch, ShardRouter, ShardedServingHandle};
-pub use serving::tier::{ServingModel, ServingTier, TierConfig, TierError, TierStats};
+pub use serving::shard::{ShardEpoch, ShardRouter};
+pub use serving::tier::{ServingTier, TierConfig, TierError, TierStats};
 pub use serving::ServingHandle;
 pub use template::QueryTemplate;
 

@@ -229,26 +229,6 @@ impl<'a> MultiAugModel<'a> {
         }
         Ok(augmented)
     }
-
-    /// [`MultiAugModel::transform`] under a
-    /// [`feataug_tabular::CancelToken`]: sources run in order and every
-    /// source's aggregations poll the token at the kernel checkpoints, so
-    /// one tripped deadline abandons the whole union mid-source with
-    /// [`crate::exec::EngineError::Cancelled`] instead of finishing the
-    /// remaining relevant tables.
-    pub fn transform_cancel(
-        &self,
-        table: &Table,
-        cancel: &feataug_tabular::CancelToken,
-    ) -> EngineResult<Table> {
-        let mut augmented = table.clone();
-        for model in &self.models {
-            for (name, values) in model.transform_features_cancel(table, cancel)? {
-                let _ = augmented.add_column(name, Column::from_opt_f64s(&values));
-            }
-        }
-        Ok(augmented)
-    }
 }
 
 /// The union of per-source pipeline runs.

@@ -302,7 +302,11 @@ impl<'a> AugModel<'a> {
     /// handle follows this model's engine across
     /// [`AugModel::append_relevant`] epochs by itself.
     pub fn prepare(&self) -> EngineResult<crate::serving::ServingHandle<'a>> {
-        crate::serving::ServingHandle::prepare(&self.engine, &self.plan)
+        crate::serving::ServingHandle::prepare(
+            std::slice::from_ref(&self.engine),
+            Vec::new(),
+            &self.plan,
+        )
     }
 
     /// Ingest `rows` into the engine's relevant table as one atomic epoch
@@ -370,33 +374,9 @@ impl<'a> AugModel<'a> {
         &self,
         table: &Table,
     ) -> EngineResult<Vec<(String, Vec<Option<f64>>)>> {
-        self.transform_features_cancel_opt(table, None)
-    }
-
-    /// [`AugModel::transform_features`] under a
-    /// [`feataug_tabular::CancelToken`]: the per-query aggregations and
-    /// gathers poll the token at the kernel checkpoints, so a tripped
-    /// deadline abandons the transform mid-work with
-    /// [`crate::exec::EngineError::Cancelled`].
-    pub fn transform_features_cancel(
-        &self,
-        table: &Table,
-        cancel: &feataug_tabular::CancelToken,
-    ) -> EngineResult<Vec<(String, Vec<Option<f64>>)>> {
-        self.transform_features_cancel_opt(table, Some(cancel))
-    }
-
-    fn transform_features_cancel_opt(
-        &self,
-        table: &Table,
-        cancel: Option<&feataug_tabular::CancelToken>,
-    ) -> EngineResult<Vec<(String, Vec<Option<f64>>)>> {
         let queries: Vec<PredicateQuery> =
             self.plan.queries.iter().map(|p| p.query.clone()).collect();
-        let features = match cancel {
-            Some(token) => self.engine.transform_cancel(&queries, table, token)?,
-            None => self.engine.transform(&queries, table)?,
-        };
+        let features = self.engine.transform(&queries, table)?;
         Ok(queries
             .iter()
             .zip(features)

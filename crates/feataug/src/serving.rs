@@ -23,6 +23,12 @@
 //!   keys borrow as `[KeyAtom]` slices), which the serving conformance suite
 //!   asserts through a counting allocator.
 //!
+//! The same handle serves a key-sharded deployment:
+//! [`shard::ShardRouter::prepare`] builds one shard (engine plus compiled
+//! lookup state) per router engine, and a lookup first hashes the request's
+//! shard-key components to pick the owning shard. A one-shard handle — what
+//! [`crate::pipeline::AugModel::prepare`] builds — skips the hash.
+//!
 //! [`ServingHandle::lookup_batch`] fans request batches across the same
 //! pool-cost-sized scoped worker pool the engine's batch evaluation uses
 //! ([`workers_for_pool`]; `FEATAUG_THREADS` stays authoritative). A handle
@@ -31,16 +37,16 @@
 //!
 //! ## Epochs
 //!
-//! The handle **follows live ingestion**. It keeps a cheap clone of the
-//! engine (sharing the compiled epoch cell) plus its plan, and compiles the
-//! probes and slots into a per-epoch [`EpochCell`]-published state. When
+//! The handle **follows live ingestion**. Per shard it keeps a cheap clone of
+//! the engine (sharing the compiled epoch cell) and compiles the probes and
+//! slots into a per-epoch [`EpochCell`]-published state. When
 //! [`crate::exec::QueryEngine::append_relevant`] publishes a new epoch, the
 //! next lookup notices the epoch advance (one atomic-epoch compare on the
 //! warm path), recompiles the state — pure memo reads, because an append
 //! carries every memoized per-group feature forward — and republishes it
 //! atomically. Lookups never block behind ingestion: in-flight requests
 //! finish against the state they pinned, and each batch pins exactly one
-//! epoch.
+//! epoch per shard.
 //!
 //! The [`tier`] submodule stacks the production concerns on top of the
 //! handle: an admission-controlled request queue with deadlines and load
@@ -57,8 +63,8 @@ use feataug_tabular::groupby::KeyAtom;
 use feataug_tabular::{CancelToken, Column, Value};
 
 use crate::exec::{
-    cancel_checkpoint, fan_out, workers_for_pool, EngineCore, EngineResult, EpochCell, GroupIndex,
-    QueryEngine,
+    cancel_checkpoint, fan_out, workers_for_pool, EngineCore, EngineError, EngineResult, EpochCell,
+    GroupIndex, QueryEngine,
 };
 use crate::query::AugPlan;
 
@@ -181,62 +187,13 @@ struct PreparedState {
     slots: Vec<FeatureSlot>,
 }
 
-/// A prepared, allocation-free lookup handle over a fitted (or compiled)
-/// model's plan — built by [`crate::pipeline::AugModel::prepare`], which
-/// pays each planned query's one aggregation up front. The handle follows
-/// the engine across [`crate::exec::QueryEngine::append_relevant`] epochs.
-/// See the [module docs](self) for the hot-path anatomy.
-pub struct ServingHandle<'a> {
-    /// The engine the handle follows across epochs (a cheap clone sharing
-    /// the compiled epoch cell and memo).
-    engine: QueryEngine<'a>,
-    /// The plan served — kept so new epochs can be recompiled in place.
-    plan: AugPlan,
-    /// Feature column names, in plan (= output) order (stable across
-    /// epochs).
-    feature_names: Vec<String>,
-    /// The current epoch's compiled probes and slots.
-    state: EpochCell<PreparedState>,
-}
-
-impl std::fmt::Debug for ServingHandle<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.load();
-        f.debug_struct("ServingHandle")
-            .field("key_columns", &self.plan.key_columns)
-            .field("features", &state.slots.len())
-            .field("key_probes", &state.probes.len())
-            .field("epoch", &state.epoch)
-            .finish()
-    }
-}
-
-impl<'a> ServingHandle<'a> {
-    /// Resolve `plan` against `engine`: evaluate-and-memoize each query's
-    /// per-group feature (the one aggregation a cold query costs), intern
-    /// the feature slots, and pre-build one key probe per distinct group-key
-    /// subset. Errors when a query's aggregation fails, a group key is not a
-    /// plan key column, or a key column is missing from the relevant table.
-    pub(crate) fn prepare(
-        engine: &QueryEngine<'a>,
-        plan: &AugPlan,
-    ) -> EngineResult<ServingHandle<'a>> {
-        let core = engine.core();
-        let state = Self::build_state(engine, &core, plan)?;
-        Ok(ServingHandle {
-            engine: engine.clone(),
-            plan: plan.clone(),
-            feature_names: plan.feature_names(),
-            state: EpochCell::new(Arc::new(state)),
-        })
-    }
-
+impl PreparedState {
     /// Compile `plan`'s probes and slots against one pinned `core`. Every
     /// feature resolves through the engine memo (a map read when the epoch
     /// carried it forward), and every atomizer dictionary is cloned out of
     /// the pinned core's relevant table — appends can grow dictionaries, so
     /// the clones are per-epoch state, not handle state.
-    fn build_state(
+    fn build<'a>(
         engine: &QueryEngine<'a>,
         core: &EngineCore<'a>,
         plan: &AugPlan,
@@ -306,34 +263,150 @@ impl<'a> ServingHandle<'a> {
         })
     }
 
+    /// The probe loop: answer `key` into `out` (cleared and resized to one
+    /// slot per planned query, plan order). With a token, each key probe is
+    /// a preemption point; without one (`None` — every deadline-less path)
+    /// the checkpoint is a skipped branch. The caller has checked `key`'s
+    /// arity.
+    // lint: hot-path
+    fn probe(
+        &self,
+        key: &[Value],
+        out: &mut Vec<Option<f64>>,
+        cancel: Option<&CancelToken>,
+    ) -> EngineResult<()> {
+        crate::fail_point!("serving.lookup");
+        out.clear();
+        out.resize(self.slots.len(), None);
+        for probe in &self.probes {
+            cancel_checkpoint(cancel)?;
+            let group = probe.group_of(key);
+            for slot in &self.slots[probe.slots.start..probe.slots.end] {
+                out[slot.out_pos] = group
+                    .and_then(|g| slot.feats[g as usize])
+                    .filter(|v| v.is_finite());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One shard of a [`ServingHandle`]: the engine it follows across epochs
+/// and the lookup state compiled against that engine's current epoch.
+struct Shard<'a> {
+    /// A cheap clone of the engine, sharing its compiled epoch cell and memo.
+    engine: QueryEngine<'a>,
+    /// The current epoch's compiled probes and slots.
+    state: EpochCell<PreparedState>,
+}
+
+impl Shard<'_> {
     /// Pin the current epoch's compiled state, recompiling first when the
     /// engine has advanced past it (an `append_relevant` landed). The warm
     /// path — epoch unchanged — is two short lock holds and one compare,
     /// with **zero heap allocations**.
     // lint: hot-path
-    fn current_state(&self) -> EngineResult<Arc<PreparedState>> {
+    fn current_state(&self, plan: &AugPlan) -> EngineResult<Arc<PreparedState>> {
         let state = self.state.load();
         if state.epoch == self.engine.epoch() {
             return Ok(state);
         }
-        self.refresh()
+        self.refresh(plan)
     }
 
     /// Recompile the probes and slots against the engine's current epoch and
     /// publish them. Appends carry every memoized per-group feature forward,
     /// so this is pure map reads — no aggregation re-runs, no evaluation
-    /// counter moves. Racing refreshes are benign: each publishes a state
-    /// consistent with some recent epoch, and the next lookup re-checks.
-    fn refresh(&self) -> EngineResult<Arc<PreparedState>> {
+    /// counter moves, no cancellation token to poll. Racing refreshes are
+    /// benign: each publishes a state consistent with some recent epoch, and
+    /// the next lookup re-checks.
+    fn refresh(&self, plan: &AugPlan) -> EngineResult<Arc<PreparedState>> {
         let core = self.engine.core();
-        let built = Arc::new(Self::build_state(&self.engine, &core, &self.plan)?);
+        let built = Arc::new(PreparedState::build(&self.engine, &core, plan)?);
         self.state.swap(Arc::clone(&built));
         Ok(built)
     }
+}
+
+/// A prepared, allocation-free lookup handle over a plan, served from one
+/// engine or from N key-sharded ones. [`crate::pipeline::AugModel::prepare`]
+/// builds the one-shard handle over the model's engine;
+/// [`shard::ShardRouter::prepare`] builds one shard per router engine.
+/// Preparing pays each planned query's one aggregation per shard up front.
+/// Every shard follows its engine across
+/// [`crate::exec::QueryEngine::append_relevant`] epochs by itself. See the
+/// [module docs](self) for the hot-path anatomy.
+pub struct ServingHandle<'a> {
+    /// One engine and compiled lookup state per shard.
+    shards: Vec<Shard<'a>>,
+    /// Positions of the shard keys inside the plan's key columns (shard-key
+    /// order), so a request key hashes without any name lookups. Unused by
+    /// a one-shard handle.
+    shard_positions: Vec<usize>,
+    /// The plan served — kept so new epochs can be recompiled in place.
+    plan: AugPlan,
+    /// Feature column names, in plan (= output) order (stable across
+    /// epochs).
+    feature_names: Vec<String>,
+}
+
+impl std::fmt::Debug for ServingHandle<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServingHandle")
+            .field("n_shards", &self.shards.len())
+            .field("key_columns", &self.plan.key_columns)
+            .field("features", &self.feature_names.len())
+            .field("epoch", &self.epoch())
+            .finish()
+    }
+}
+
+impl<'a> ServingHandle<'a> {
+    /// Resolve `plan` against every engine of `engines` (one shard each):
+    /// evaluate-and-memoize each query's per-group feature (the one
+    /// aggregation a cold query costs), intern the feature slots, and
+    /// pre-build one key probe per distinct group-key subset.
+    /// `shard_positions` locate the routing keys in the plan's key columns.
+    /// Errors when a query's aggregation fails, a group key is not a plan
+    /// key column, or a key column is missing from a relevant table.
+    pub(crate) fn prepare(
+        engines: &[QueryEngine<'a>],
+        shard_positions: Vec<usize>,
+        plan: &AugPlan,
+    ) -> EngineResult<ServingHandle<'a>> {
+        let shards = engines
+            .iter()
+            .map(|engine| {
+                let state = PreparedState::build(engine, &engine.core(), plan)?;
+                Ok(Shard {
+                    engine: engine.clone(),
+                    state: EpochCell::new(Arc::new(state)),
+                })
+            })
+            .collect::<EngineResult<Vec<_>>>()?;
+        Ok(ServingHandle {
+            shards,
+            shard_positions,
+            plan: plan.clone(),
+            feature_names: plan.feature_names(),
+        })
+    }
+
+    /// Number of shards behind this handle (1 for
+    /// [`crate::pipeline::AugModel::prepare`]).
+    pub fn n_shards(&self) -> usize {
+        self.shards.len()
+    }
 
     /// The engine epoch the handle last compiled its lookup state against.
+    /// With N shards it is the sum over shards of that epoch: it grows
+    /// whenever any shard's state follows an append, and is comparable only
+    /// with earlier values of the same handle.
     pub fn epoch(&self) -> u64 {
-        self.state.load().epoch
+        self.shards
+            .iter()
+            .map(|shard| shard.state.load().epoch)
+            .sum()
     }
 
     /// The plan's foreign-key columns, in the order `lookup` expects the key
@@ -352,6 +425,31 @@ impl<'a> ServingHandle<'a> {
         self.plan.queries.len()
     }
 
+    /// The shard owning `key` (one value per plan key column), after the
+    /// arity check. A one-shard handle skips the hash; otherwise this is the
+    /// routing step, and the `shard.route` failpoint fires here.
+    // lint: hot-path
+    fn route(&self, key: &[Value]) -> EngineResult<usize> {
+        if key.len() != self.plan.key_columns.len() {
+            return Err(self.arity_error(key.len()));
+        }
+        if self.shards.len() == 1 {
+            return Ok(0);
+        }
+        crate::fail_point!("shard.route");
+        Ok(shard::route(key, &self.shard_positions, self.shards.len()))
+    }
+
+    /// Cold constructor for the arity mismatch error, kept out of the
+    /// hot-path functions so they stay allocation-free.
+    fn arity_error(&self, got: usize) -> EngineError {
+        feataug_tabular::TabularError::InvalidArgument(format!(
+            "lookup key has {got} values for {} key columns",
+            self.plan.key_columns.len()
+        ))
+        .into()
+    }
+
     /// Answer one online request into `out` (resized to
     /// [`ServingHandle::num_features`], plan order; `None` marks the same
     /// rows a transform would leave NULL — unseen, filtered-away, NULL or
@@ -359,7 +457,8 @@ impl<'a> ServingHandle<'a> {
     /// [`Value`] per plan key column.
     ///
     /// The warm path — a reused `out` buffer — performs **zero heap
-    /// allocations**: per distinct key subset, the key atoms are built in a
+    /// allocations**: with more than one shard the routing hash runs on the
+    /// stack; then, per distinct key subset, the key atoms are built in a
     /// stack buffer, the group id is one hash probe of the retained key map
     /// (plus one dictionary probe per categorical key component), and each
     /// feature is a slice read. No `Debug`/SQL rendering, no [`Value`]
@@ -367,71 +466,23 @@ impl<'a> ServingHandle<'a> {
     /// [`crate::pipeline::AugModel::serve`].
     // lint: hot-path
     pub fn lookup(&self, key: &[Value], out: &mut Vec<Option<f64>>) -> EngineResult<()> {
-        let state = self.current_state()?;
-        self.lookup_with(&state, key, out)
+        self.lookup_with(key, out, None)
     }
 
-    /// [`ServingHandle::lookup`] under a [`CancelToken`]: the probe loop
-    /// polls the token before each key probe, so a request whose deadline has
-    /// already fired is preempted mid-lookup with
-    /// [`crate::exec::EngineError::Cancelled`] instead of finishing its
-    /// remaining probes — the hook [`tier::ServingTier`] deadlines use to
-    /// preempt in-flight work.
-    pub fn lookup_cancel(
-        &self,
-        key: &[Value],
-        out: &mut Vec<Option<f64>>,
-        cancel: &CancelToken,
-    ) -> EngineResult<()> {
-        let state = self.current_state()?;
-        self.lookup_with_cancel(&state, key, out, Some(cancel))
-    }
-
-    /// [`ServingHandle::lookup`] against one already-pinned epoch state —
-    /// the shared tail of the point and batch paths.
+    /// [`ServingHandle::lookup`] with an optional [`CancelToken`] polled
+    /// before each key probe — the serving tier runs deadline-carrying
+    /// requests through it, so a tripped deadline preempts the request
+    /// between probes with [`crate::exec::EngineError::Cancelled`]. An epoch
+    /// refresh on the way in is memo reads and does not poll the token.
     // lint: hot-path
-    fn lookup_with(
+    pub(crate) fn lookup_with(
         &self,
-        state: &PreparedState,
-        key: &[Value],
-        out: &mut Vec<Option<f64>>,
-    ) -> EngineResult<()> {
-        self.lookup_with_cancel(state, key, out, None)
-    }
-
-    /// The shared probe loop. Without a token (`cancel` = `None` — every
-    /// search-time and deadline-less path) the checkpoint is a skipped
-    /// branch; with one, each probe boundary is a preemption point.
-    // lint: hot-path
-    fn lookup_with_cancel(
-        &self,
-        state: &PreparedState,
         key: &[Value],
         out: &mut Vec<Option<f64>>,
         cancel: Option<&CancelToken>,
     ) -> EngineResult<()> {
-        crate::fail_point!("serving.lookup");
-        if key.len() != self.plan.key_columns.len() {
-            // lint: allow(alloc): cold arity-error branch, never taken by a well-formed caller
-            return Err(feataug_tabular::TabularError::InvalidArgument(format!(
-                "lookup key has {} values for {} key columns",
-                key.len(),
-                self.plan.key_columns.len()
-            ))
-            .into());
-        }
-        out.clear();
-        out.resize(state.slots.len(), None);
-        for probe in &state.probes {
-            cancel_checkpoint(cancel)?;
-            let group = probe.group_of(key);
-            for slot in &state.slots[probe.slots.start..probe.slots.end] {
-                out[slot.out_pos] = group
-                    .and_then(|g| slot.feats[g as usize])
-                    .filter(|v| v.is_finite());
-            }
-        }
-        Ok(())
+        let shard = &self.shards[self.route(key)?];
+        shard.current_state(&self.plan)?.probe(key, out, cancel)
     }
 
     /// [`ServingHandle::lookup`] into a fresh vector (allocates; the
@@ -449,29 +500,29 @@ impl<'a> ServingHandle<'a> {
     /// arities are validated up front so a malformed request errors before
     /// any work.
     pub fn lookup_batch(&self, keys: &[Vec<Value>]) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        for key in keys {
-            if key.len() != self.plan.key_columns.len() {
-                return Err(feataug_tabular::TabularError::InvalidArgument(format!(
-                    "lookup key has {} values for {} key columns",
-                    key.len(),
-                    self.plan.key_columns.len()
-                ))
-                .into());
-            }
+        if let Some(key) = keys
+            .iter()
+            .find(|key| key.len() != self.plan.key_columns.len())
+        {
+            return Err(self.arity_error(key.len()));
         }
         self.try_lookup_batch(keys).into_iter().collect()
     }
 
     /// Panic-contained batch lookup with **per-request** outcomes:
     /// `results[i]` is `keys[i]`'s features or its own typed error, so one
-    /// panicking (or malformed) request cannot fail its batch-mates — the
-    /// shape the admission-controlled tier serves from. Values are
-    /// bit-identical to serial [`ServingHandle::lookup`] calls at any worker
-    /// count.
+    /// panicking (or malformed) request cannot fail its batch-mates. Values
+    /// are bit-identical to serial [`ServingHandle::lookup`] calls at any
+    /// worker count.
     pub fn try_lookup_batch(&self, keys: &[Vec<Value>]) -> Vec<EngineResult<Vec<Option<f64>>>> {
-        // Pin one epoch for the whole batch: every batch-mate answers
-        // against the same snapshot even while appends land concurrently.
-        let pinned = self.current_state();
+        // Pin one epoch per shard for the whole batch: every batch-mate
+        // answers against the same snapshot even while appends land
+        // concurrently.
+        let pinned: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| shard.current_state(&self.plan))
+            .collect();
         fan_out(
             keys,
             workers_for_pool(keys.len()),
@@ -479,8 +530,8 @@ impl<'a> ServingHandle<'a> {
             || Vec::with_capacity(self.plan.queries.len()),
             |_| (),
             |row, key| {
-                match &pinned {
-                    Ok(state) => self.lookup_with(state, key, row)?,
+                match &pinned[self.route(key)?] {
+                    Ok(state) => state.probe(key, row, None)?,
                     // The epoch recompile failed; re-resolving per request
                     // reproduces the typed error for each batch-mate.
                     Err(_) => self.lookup(key, row)?,
@@ -496,6 +547,11 @@ mod tests {
     use super::*;
     use crate::query::{PlannedQuery, PredicateQuery};
     use feataug_tabular::{AggFunc, Column, Predicate, Table};
+
+    /// The one-shard handle `AugModel::prepare` builds.
+    fn prepare<'a>(engine: &QueryEngine<'a>, plan: &AugPlan) -> EngineResult<ServingHandle<'a>> {
+        ServingHandle::prepare(std::slice::from_ref(engine), Vec::new(), plan)
+    }
 
     fn train() -> Table {
         let mut t = Table::new("users");
@@ -547,7 +603,7 @@ mod tests {
         let (train, relevant) = (train(), relevant());
         let engine = QueryEngine::new(&train, &relevant);
         let plan = plan();
-        let handle = ServingHandle::prepare(&engine, &plan).unwrap();
+        let handle = prepare(&engine, &plan).unwrap();
         assert_eq!(handle.num_features(), 4);
         assert_eq!(handle.feature_names(), plan.feature_names().as_slice());
         assert_eq!(handle.key_columns(), plan.key_columns.as_slice());
@@ -585,7 +641,7 @@ mod tests {
         let (train, relevant) = (train(), relevant());
         let engine = QueryEngine::new(&train, &relevant);
         let plan = plan();
-        let handle = ServingHandle::prepare(&engine, &plan).unwrap();
+        let handle = prepare(&engine, &plan).unwrap();
         let after_prepare = engine.stats();
         assert_eq!(after_prepare.group_features, 4);
         assert_eq!(after_prepare.evaluations, 4);
@@ -604,7 +660,7 @@ mod tests {
             "warm lookups must be pure probe reads"
         );
         // A second prepare reuses every memoized per-group feature.
-        let again = ServingHandle::prepare(&engine, &plan).unwrap();
+        let again = prepare(&engine, &plan).unwrap();
         assert_eq!(engine.stats(), after_prepare);
         assert_eq!(again.num_features(), 4);
     }
@@ -616,20 +672,20 @@ mod tests {
         // A query grouping by a column outside the plan's key set.
         let mut bad = plan();
         bad.key_columns = vec!["cname".into()];
-        let err = ServingHandle::prepare(&engine, &bad).unwrap_err();
+        let err = prepare(&engine, &bad).unwrap_err();
         assert!(err.to_string().contains("not a plan key column"));
         // A query whose aggregation column is missing errors during the
         // prepare-time aggregation.
         let mut ghost = plan();
         ghost.queries[0].query.agg_column = "nope".into();
-        assert!(ServingHandle::prepare(&engine, &ghost).is_err());
+        assert!(prepare(&engine, &ghost).is_err());
     }
 
     #[test]
     fn lookup_batch_matches_serial_lookups() {
         let (train, relevant) = (train(), relevant());
         let engine = QueryEngine::new(&train, &relevant);
-        let handle = ServingHandle::prepare(&engine, &plan()).unwrap();
+        let handle = prepare(&engine, &plan()).unwrap();
         let keys: Vec<Vec<Value>> = ["a", "b", "c", "zz", "a", "b"]
             .iter()
             .cycle()
@@ -659,7 +715,7 @@ mod tests {
     fn lookup_follows_appends_without_reprepare() {
         let (train, relevant) = (train(), relevant());
         let engine = QueryEngine::new(&train, &relevant);
-        let handle = ServingHandle::prepare(&engine, &plan()).unwrap();
+        let handle = prepare(&engine, &plan()).unwrap();
         let mut out = Vec::new();
         handle
             .lookup(&[Value::Str("a".into()), Value::Str("m1".into())], &mut out)
@@ -704,7 +760,7 @@ mod tests {
         fn assert_send_sync_static<T: Send + Sync + 'static>(_: &T) {}
         let (train, relevant) = (Arc::new(train()), Arc::new(relevant()));
         let engine = QueryEngine::new_shared(train, relevant);
-        let handle = ServingHandle::prepare(&engine, &plan()).unwrap();
+        let handle = prepare(&engine, &plan()).unwrap();
         assert_send_sync_static(&handle);
         drop(engine);
         // The handle carries its own engine clone (sharing the compiled

@@ -31,13 +31,13 @@
 //!   ShardRouter ──┼── shard 1: QueryEngine          ── append_relevant
 //!   (generation)  └── shard 2: QueryEngine             splits the batch by
 //!        │                                             the same hash
-//!        └── ShardedServingHandle: one ServingHandle (PreparedState
-//!            EpochCell) per shard; lookup = hash + owning-shard probe
+//!        └── prepare → ServingHandle: one (engine, PreparedState EpochCell)
+//!            per shard; lookup = hash + owning-shard probe
 //! ```
 //!
-//! `lookup` / serve probe only the owning shard; `transform` and
-//! `append_relevant` fan across shards (each input batch split by the same
-//! hash). Appends publish per-shard epochs and bump one router-level
+//! `lookup` and the handle [`ShardRouter::prepare`] builds probe only the
+//! owning shard; `transform` and `append_relevant` fan across shards (each
+//! input batch split by the same hash). Appends publish per-shard epochs and bump one router-level
 //! generation once the whole batch has landed. A panicking shard fails only
 //! the requests it owns — the router contains the panic as
 //! [`EngineError::WorkerPanic`] and the survivors keep serving (chaos-tested
@@ -49,7 +49,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use feataug_tabular::{CancelToken, Column, Table, Value};
+use feataug_tabular::{Column, Table, Value};
 
 use crate::exec::{
     default_workers, fan_out, lock_recover, panic_message, EngineError, EngineResult, Epoch,
@@ -93,6 +93,17 @@ fn hash_value(h: &mut DefaultHasher, value: &Value) {
             h.write_i64(*v);
         }
     }
+}
+
+/// Shard owning a request key: [`hash_value`] over the components at
+/// `positions` (shard-key order). Stack-only, so routing never allocates.
+// lint: hot-path
+pub(super) fn route(key: &[Value], positions: &[usize], n_shards: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    for &pos in positions {
+        hash_value(&mut h, &key[pos]);
+    }
+    (h.finish() % n_shards as u64) as usize
 }
 
 /// [`hash_value`] for a column cell, without materialising a [`Value`] (no
@@ -321,76 +332,53 @@ impl ShardRouter {
         &self.shards[index]
     }
 
-    /// Shard owning a key whose components are `key_values` aligned with
-    /// `group_keys`. Errors when the query does not group by every shard key
-    /// (its groups straddle shards) or on key arity mismatch.
-    fn shard_of_query_key(
+    /// Position of every shard key within `columns`, in shard-key order;
+    /// `missing` renders the error for a shard key `columns` lacks.
+    fn shard_key_positions(
         &self,
-        group_keys: &[String],
-        key_values: &[Value],
-    ) -> EngineResult<usize> {
-        if key_values.len() != group_keys.len() {
-            return Err(invalid(format!(
-                "lookup key has {} values for {} group-key columns",
-                key_values.len(),
-                group_keys.len()
-            )));
-        }
-        if self.shards.len() == 1 {
-            return Ok(0);
-        }
-        let mut h = DefaultHasher::new();
-        for shard_key in &self.shard_keys {
-            let pos = group_keys
-                .iter()
-                .position(|k| k == shard_key)
-                .ok_or_else(|| {
-                    invalid(format!(
-                        "query does not group by shard key `{shard_key}`; its groups \
-                         straddle shards"
-                    ))
-                })?;
-            hash_value(&mut h, &key_values[pos]);
-        }
-        Ok((h.finish() % self.shards.len() as u64) as usize)
+        columns: &[String],
+        missing: impl Fn(&str) -> String,
+    ) -> EngineResult<Vec<usize>> {
+        self.shard_keys
+            .iter()
+            .map(|key| {
+                columns
+                    .iter()
+                    .position(|c| c == key)
+                    .ok_or_else(|| invalid(missing(key)))
+            })
+            .collect()
     }
 
-    /// [`QueryEngine::lookup`] against the shard owning `key_values`. A panic
-    /// inside the owning shard (or an armed `shard.route` failpoint) is
-    /// contained as [`EngineError::WorkerPanic`] — only this request fails;
-    /// every other shard keeps serving untouched.
+    /// [`QueryEngine::lookup`] against the shard owning `key_values`
+    /// (aligned with `query.group_keys`). Errors on key arity mismatch or
+    /// when the query does not group by every shard key (its groups straddle
+    /// shards). A panic inside the owning shard (or an armed `shard.route`
+    /// failpoint) is contained as [`EngineError::WorkerPanic`] — only this
+    /// request fails; every other shard keeps serving untouched.
     pub fn lookup(
         &self,
         query: &PredicateQuery,
         key_values: &[Value],
     ) -> EngineResult<Option<f64>> {
-        self.lookup_opt(query, key_values, None)
-    }
-
-    /// [`ShardRouter::lookup`] under a [`CancelToken`]: the owning shard's
-    /// first aggregation polls the token at the kernel checkpoints.
-    pub fn lookup_cancel(
-        &self,
-        query: &PredicateQuery,
-        key_values: &[Value],
-        cancel: &CancelToken,
-    ) -> EngineResult<Option<f64>> {
-        self.lookup_opt(query, key_values, Some(cancel))
-    }
-
-    fn lookup_opt(
-        &self,
-        query: &PredicateQuery,
-        key_values: &[Value],
-        cancel: Option<&CancelToken>,
-    ) -> EngineResult<Option<f64>> {
-        let shard = self.shard_of_query_key(&query.group_keys, key_values)?;
+        if key_values.len() != query.group_keys.len() {
+            return Err(invalid(format!(
+                "lookup key has {} values for {} group-key columns",
+                key_values.len(),
+                query.group_keys.len()
+            )));
+        }
+        let shard = if self.shards.len() == 1 {
+            0
+        } else {
+            let positions = self.shard_key_positions(&query.group_keys, |key| {
+                format!("query does not group by shard key `{key}`; its groups straddle shards")
+            })?;
+            route(key_values, &positions, self.shards.len())
+        };
         match catch_unwind(AssertUnwindSafe(|| {
             crate::fail_point!("shard.route");
-            match cancel {
-                Some(token) => self.shards[shard].lookup_cancel(query, key_values, token),
-                None => self.shards[shard].lookup(query, key_values),
-            }
+            self.shards[shard].lookup(query, key_values)
         })) {
             Ok(result) => result,
             Err(payload) => Err(EngineError::WorkerPanic {
@@ -412,33 +400,9 @@ impl ShardRouter {
         queries: &[PredicateQuery],
         table: &Table,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_opt(queries, table, None)
-    }
-
-    /// [`ShardRouter::transform`] under a [`CancelToken`]: every shard's
-    /// aggregation and gather poll the token, so one tripped deadline
-    /// abandons the fan-out mid-work.
-    pub fn transform_cancel(
-        &self,
-        queries: &[PredicateQuery],
-        table: &Table,
-        cancel: &CancelToken,
-    ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_opt(queries, table, Some(cancel))
-    }
-
-    fn transform_opt(
-        &self,
-        queries: &[PredicateQuery],
-        table: &Table,
-        cancel: Option<&CancelToken>,
-    ) -> EngineResult<Vec<Vec<Option<f64>>>> {
         if self.shards.len() == 1 {
             // Degenerate single-shard router: today's path, byte for byte.
-            return match cancel {
-                Some(token) => self.shards[0].transform_cancel(queries, table, token),
-                None => self.shards[0].transform(queries, table),
-            };
+            return self.shards[0].transform(queries, table);
         }
         let buckets = partition_rows(table, &self.shard_keys, self.shards.len())?;
         let jobs: Vec<(usize, Vec<usize>)> = buckets
@@ -454,11 +418,7 @@ impl ShardRouter {
             |_| (),
             |_, (shard, rows)| {
                 crate::fail_point!("shard.route");
-                let sub = table.take_with_dict(rows);
-                match cancel {
-                    Some(token) => self.shards[*shard].transform_cancel(queries, &sub, token),
-                    None => self.shards[*shard].transform(queries, &sub),
-                }
+                self.shards[*shard].transform(queries, &table.take_with_dict(rows))
             },
         );
         let mut out: Vec<Vec<Option<f64>>> = queries
@@ -498,6 +458,38 @@ impl ShardRouter {
         }
     }
 
+    /// The serving handle over every shard: each shard pays its partition's
+    /// aggregations once, up front, and a lookup is the routing hash plus one
+    /// owning-shard probe — zero heap allocations on the warm path, enforced
+    /// by a counting allocator in `tests/serving_alloc.rs`. It plugs into
+    /// [`crate::serving::tier::ServingTier`] like any other handle. Errors
+    /// when a shard key is not a plan key column, when (with more than one
+    /// shard) some planned query does not group by every shard key (its
+    /// groups would straddle shards), or when any per-shard prepare fails.
+    pub fn prepare(&self, plan: &AugPlan) -> EngineResult<ServingHandle<'static>> {
+        let shard_positions = self.shard_key_positions(&plan.key_columns, |key| {
+            format!(
+                "shard key `{key}` is not a plan key column; the router cannot route this \
+                 plan's requests"
+            )
+        })?;
+        if self.shards.len() > 1 {
+            for planned in &plan.queries {
+                if let Some(key) = self
+                    .shard_keys
+                    .iter()
+                    .find(|key| !planned.query.group_keys.contains(key))
+                {
+                    return Err(invalid(format!(
+                        "planned query does not group by shard key `{key}`; its groups \
+                         straddle shards"
+                    )));
+                }
+            }
+        }
+        ServingHandle::prepare(&self.shards, shard_positions, plan)
+    }
+
     fn append_inner(&self, rows: &Table) -> EngineResult<ShardEpoch> {
         let _ingest = lock_recover(&self.ingest);
         crate::fail_point!("shard.append");
@@ -516,161 +508,6 @@ impl ShardRouter {
             appended_rows: rows.num_rows(),
             shard_epochs,
         })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedServingHandle
-// ---------------------------------------------------------------------------
-
-/// The sharded analogue of [`ServingHandle`]: one prepared handle per shard
-/// (each with its own `PreparedState` epoch cell, refreshed lazily as its
-/// shard's epochs advance), plus the routing hash. Plugs into
-/// [`crate::serving::tier::ServingTier`] unchanged — a warm lookup is the
-/// routing hash plus one owning-shard probe, with zero heap allocations
-/// (counting-allocator-enforced in `tests/serving_alloc.rs`).
-pub struct ShardedServingHandle {
-    /// One prepared handle per shard, index-aligned with the router's
-    /// engines.
-    handles: Vec<ServingHandle<'static>>,
-    /// Positions of the router's shard keys inside the plan's key columns
-    /// (shard-key order), so a request key hashes without any name lookups.
-    shard_positions: Vec<usize>,
-    /// The plan's key columns — request keys align with these.
-    key_columns: Vec<String>,
-    /// Feature column names, in plan (= output) order.
-    feature_names: Vec<String>,
-}
-
-impl std::fmt::Debug for ShardedServingHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedServingHandle")
-            .field("n_shards", &self.handles.len())
-            .field("key_columns", &self.key_columns)
-            .field("features", &self.feature_names.len())
-            .finish()
-    }
-}
-
-impl ShardedServingHandle {
-    /// Resolve `plan` against every shard of `router` — each shard pays its
-    /// partition's aggregations once, up front. Errors when a shard key is
-    /// not a plan key column, when some planned query does not group by every
-    /// shard key (its groups straddle shards), or when any per-shard prepare
-    /// fails.
-    pub fn prepare(router: &ShardRouter, plan: &AugPlan) -> EngineResult<ShardedServingHandle> {
-        let shard_positions = router
-            .shard_keys
-            .iter()
-            .map(|key| {
-                plan.key_columns
-                    .iter()
-                    .position(|c| c == key)
-                    .ok_or_else(|| {
-                        invalid(format!(
-                            "shard key `{key}` is not a plan key column; the router cannot \
-                         route this plan's requests"
-                        ))
-                    })
-            })
-            .collect::<EngineResult<Vec<_>>>()?;
-        if router.n_shards() > 1 {
-            for planned in &plan.queries {
-                for shard_key in &router.shard_keys {
-                    if !planned.query.group_keys.contains(shard_key) {
-                        return Err(invalid(format!(
-                            "planned query does not group by shard key `{shard_key}`; \
-                             its groups straddle shards"
-                        )));
-                    }
-                }
-            }
-        }
-        let handles = router
-            .shards
-            .iter()
-            .map(|engine| ServingHandle::prepare(engine, plan))
-            .collect::<EngineResult<Vec<_>>>()?;
-        Ok(ShardedServingHandle {
-            handles,
-            shard_positions,
-            key_columns: plan.key_columns.clone(),
-            feature_names: plan.feature_names(),
-        })
-    }
-
-    /// Number of shards behind this handle.
-    pub fn n_shards(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// The key columns a request key aligns with, in plan order.
-    pub fn key_columns(&self) -> &[String] {
-        &self.key_columns
-    }
-
-    /// Feature column names, in output order.
-    pub fn feature_names(&self) -> &[String] {
-        &self.feature_names
-    }
-
-    /// Number of features a lookup produces.
-    pub fn num_features(&self) -> usize {
-        self.feature_names.len()
-    }
-
-    /// Shard owning `key` (components aligned with
-    /// [`ShardedServingHandle::key_columns`]; the caller has checked arity).
-    // lint: hot-path
-    fn shard_of(&self, key: &[Value]) -> usize {
-        if self.handles.len() == 1 {
-            return 0;
-        }
-        let mut h = DefaultHasher::new();
-        for &pos in &self.shard_positions {
-            hash_value(&mut h, &key[pos]);
-        }
-        (h.finish() % self.handles.len() as u64) as usize
-    }
-
-    /// Answer one request from the owning shard: the routing hash plus one
-    /// [`ServingHandle::lookup`] probe. `out` is cleared and refilled in
-    /// plan order; on the warm path (shard epoch unchanged, `out` capacity
-    /// retained) the whole call performs **zero heap allocations** — the
-    /// hash is stack-only and the probe reuses the shard's prepared state.
-    // lint: hot-path
-    pub fn lookup(&self, key: &[Value], out: &mut Vec<Option<f64>>) -> EngineResult<()> {
-        crate::fail_point!("shard.route");
-        if key.len() != self.key_columns.len() {
-            return Err(self.arity_error(key.len()));
-        }
-        self.handles[self.shard_of(key)].lookup(key, out)
-    }
-
-    /// [`ShardedServingHandle::lookup`] under a [`CancelToken`]: the owning
-    /// shard's probe loop polls the token before each key probe, so a tripped
-    /// deadline preempts the request mid-lookup with
-    /// [`EngineError::Cancelled`].
-    pub fn lookup_cancel(
-        &self,
-        key: &[Value],
-        out: &mut Vec<Option<f64>>,
-        cancel: &CancelToken,
-    ) -> EngineResult<()> {
-        crate::fail_point!("shard.route");
-        if key.len() != self.key_columns.len() {
-            return Err(self.arity_error(key.len()));
-        }
-        self.handles[self.shard_of(key)].lookup_cancel(key, out, cancel)
-    }
-
-    /// Cold constructor for the arity mismatch error, kept out of the
-    /// hot-path functions so they stay allocation-free.
-    fn arity_error(&self, got: usize) -> EngineError {
-        invalid(format!(
-            "lookup key has {got} values for {} key columns",
-            self.key_columns.len()
-        ))
     }
 }
 
@@ -894,12 +731,14 @@ mod tests {
                 .collect(),
         );
         let baseline_engine = QueryEngine::new(&train, &relevant);
-        let baseline = ServingHandle::prepare(&baseline_engine, &plan).unwrap();
+        let baseline =
+            ServingHandle::prepare(std::slice::from_ref(&baseline_engine), Vec::new(), &plan)
+                .unwrap();
         for n_shards in [1, 2, 7] {
             let router =
                 ShardRouter::build_for_plan(Arc::new(train.clone()), &relevant, &plan, n_shards)
                     .unwrap();
-            let handle = ShardedServingHandle::prepare(&router, &plan).unwrap();
+            let handle = router.prepare(&plan).unwrap();
             assert_eq!(handle.n_shards(), n_shards);
             assert_eq!(handle.num_features(), plan.queries.len());
             assert_eq!(handle.feature_names(), baseline.feature_names());
@@ -920,7 +759,7 @@ mod tests {
                 };
                 assert_eq!(as_bits(&want), as_bits(&got), "{c}/{m} n={n_shards}");
             }
-            // Arity errors come from the router facade, not a shard probe.
+            // Arity errors come from the routing step, not a shard probe.
             let err = handle
                 .lookup(&[Value::Str("a".into())], &mut got)
                 .unwrap_err();

@@ -1,8 +1,7 @@
 //! The admission-controlled serving tier: bounded queueing, per-request
 //! deadlines, load shedding, graceful degradation, and atomic model hot-swap
-//! over a [`ServingModel`] — one prepared [`ServingHandle`] or a key-sharded
-//! [`ShardedServingHandle`] (see [`crate::serving::shard`]); both plug in
-//! unchanged.
+//! over a prepared [`ServingHandle`] — one engine or key-sharded ones (see
+//! [`crate::serving::shard`]); the tier serves both the same way.
 //!
 //! A [`ServingHandle`] answers one lookup fast, but a production front door
 //! needs more than speed: under overload it must refuse work it cannot finish
@@ -14,11 +13,13 @@
 //! bounded queue.
 //!
 //! Deadlines preempt, not just observe: a request submitted with a deadline
-//! runs its engine work under a [`CancelToken`] built from that instant, and
-//! the kernels, gathers and probe loops poll the token at fixed strides — a
-//! deadline that fires mid-kernel abandons the work right there (surfacing
-//! through the same degradation policy) instead of waiting for the batch
-//! boundary. [`TierStats::cancelled`] counts how often preemption fired.
+//! runs its lookup under a [`CancelToken`] built from that instant, and the
+//! handle's probe loop polls the token before each key probe — a deadline
+//! that fires mid-lookup abandons the remaining probes (surfacing through the
+//! same degradation policy) instead of finishing the request. A warm lookup
+//! does no aggregation work, and the epoch refresh a lookup may run first
+//! is memo reads that do not poll the token. [`TierStats::cancelled`]
+//! counts how often preemption fired.
 //!
 //! ## Hot-swap
 //!
@@ -49,8 +50,7 @@ use std::time::{Duration, Instant};
 
 use feataug_tabular::{CancelToken, Value};
 
-use crate::exec::{lock_recover, panic_message, EngineError, EngineResult};
-use crate::serving::shard::ShardedServingHandle;
+use crate::exec::{lock_recover, panic_message, EngineError};
 use crate::serving::ServingHandle;
 
 /// Sizing and policy of a [`ServingTier`].
@@ -137,93 +137,6 @@ impl std::error::Error for TierError {
 // `serving::tier::EpochCell` users keep compiling.
 pub use crate::exec::EpochCell;
 
-/// What a tier serves: one prepared [`ServingHandle`], or a
-/// [`ShardedServingHandle`] routing each key to its owning shard. Both plug
-/// into the tier unchanged — [`ServingTier::new`] and
-/// [`ServingTier::install`] accept either via `Into<ServingModel>`, and the
-/// worker loop only needs the common lookup surface below.
-#[derive(Debug)]
-pub enum ServingModel {
-    /// A single prepared handle over one engine.
-    Single(Arc<ServingHandle<'static>>),
-    /// Hash-routed per-shard handles (see [`crate::serving::shard`]).
-    Sharded(Arc<ShardedServingHandle>),
-}
-
-impl From<Arc<ServingHandle<'static>>> for ServingModel {
-    fn from(handle: Arc<ServingHandle<'static>>) -> ServingModel {
-        ServingModel::Single(handle)
-    }
-}
-
-impl From<ServingHandle<'static>> for ServingModel {
-    fn from(handle: ServingHandle<'static>) -> ServingModel {
-        ServingModel::Single(Arc::new(handle))
-    }
-}
-
-impl From<Arc<ShardedServingHandle>> for ServingModel {
-    fn from(handle: Arc<ShardedServingHandle>) -> ServingModel {
-        ServingModel::Sharded(handle)
-    }
-}
-
-impl From<ShardedServingHandle> for ServingModel {
-    fn from(handle: ShardedServingHandle) -> ServingModel {
-        ServingModel::Sharded(Arc::new(handle))
-    }
-}
-
-impl ServingModel {
-    /// Number of features a lookup produces.
-    pub fn num_features(&self) -> usize {
-        match self {
-            ServingModel::Single(h) => h.num_features(),
-            ServingModel::Sharded(h) => h.num_features(),
-        }
-    }
-
-    /// Feature column names, in output order.
-    pub fn feature_names(&self) -> &[String] {
-        match self {
-            ServingModel::Single(h) => h.feature_names(),
-            ServingModel::Sharded(h) => h.feature_names(),
-        }
-    }
-
-    /// The key columns a request key aligns with.
-    pub fn key_columns(&self) -> &[String] {
-        match self {
-            ServingModel::Single(h) => h.key_columns(),
-            ServingModel::Sharded(h) => h.key_columns(),
-        }
-    }
-
-    /// Answer one request (`out` cleared and refilled in plan order).
-    pub fn lookup(&self, key: &[Value], out: &mut Vec<Option<f64>>) -> EngineResult<()> {
-        match self {
-            ServingModel::Single(h) => h.lookup(key, out),
-            ServingModel::Sharded(h) => h.lookup(key, out),
-        }
-    }
-
-    /// [`ServingModel::lookup`] under a [`CancelToken`]: cold aggregations
-    /// poll the token at the kernel checkpoints and warm probe loops poll it
-    /// per probe, so a fired deadline preempts the request mid-work with
-    /// [`EngineError::Cancelled`].
-    pub fn lookup_cancel(
-        &self,
-        key: &[Value],
-        out: &mut Vec<Option<f64>>,
-        cancel: &CancelToken,
-    ) -> EngineResult<()> {
-        match self {
-            ServingModel::Single(h) => h.lookup_cancel(key, out, cancel),
-            ServingModel::Sharded(h) => h.lookup_cancel(key, out, cancel),
-        }
-    }
-}
-
 /// One queued lookup: the key, the admission-stamped deadline, and the reply
 /// channel.
 struct Request {
@@ -237,7 +150,7 @@ struct TierShared {
     config: TierConfig,
     queue: Mutex<VecDeque<Request>>,
     available: Condvar,
-    model: EpochCell<ServingModel>,
+    model: EpochCell<ServingHandle<'static>>,
     shutdown: AtomicBool,
     submitted: AtomicUsize,
     answered: AtomicUsize,
@@ -259,9 +172,9 @@ pub struct TierStats {
     /// Requests answered with the all-NULL degraded row (or
     /// [`TierError::DeadlineExceeded`]) because their deadline fired.
     pub degraded: usize,
-    /// Requests whose deadline preempted in-flight engine work mid-kernel
-    /// or mid-probe ([`EngineError::Cancelled`]) — a subset of `degraded`
-    /// that measures how often preemption beat the batch boundary.
+    /// Requests whose deadline preempted an in-flight lookup between key
+    /// probes ([`EngineError::Cancelled`]) — a subset of `degraded` that
+    /// measures how often preemption beat the end of the lookup.
     pub cancelled: usize,
     /// Worker panics contained into [`EngineError::WorkerPanic`] answers.
     pub worker_panics: usize,
@@ -303,15 +216,15 @@ impl std::fmt::Debug for ServingTier {
 }
 
 impl ServingTier {
-    /// Spawn the worker pool and start serving `model` — a single prepared
-    /// handle or a sharded one, via `Into<ServingModel>`.
-    pub fn new(model: impl Into<ServingModel>, config: TierConfig) -> ServingTier {
+    /// Spawn the worker pool and start serving `model` — a prepared handle
+    /// over one engine or over sharded ones.
+    pub fn new(model: impl Into<Arc<ServingHandle<'static>>>, config: TierConfig) -> ServingTier {
         let workers = config.workers.max(1);
         let shared = Arc::new(TierShared {
             config,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
-            model: EpochCell::new(Arc::new(model.into())),
+            model: EpochCell::new(model.into()),
             shutdown: AtomicBool::new(false),
             submitted: AtomicUsize::new(0),
             answered: AtomicUsize::new(0),
@@ -391,12 +304,12 @@ impl ServingTier {
     /// to the old model finish against it, every later batch serves the new
     /// one, and no warm lookup blocks on the swap. Returns the new
     /// generation.
-    pub fn install(&self, model: impl Into<ServingModel>) -> u64 {
-        self.shared.model.swap(Arc::new(model.into()))
+    pub fn install(&self, model: impl Into<Arc<ServingHandle<'static>>>) -> u64 {
+        self.shared.model.swap(model.into())
     }
 
-    /// Pin the currently-served model.
-    pub fn model(&self) -> Arc<ServingModel> {
+    /// Pin the currently-served handle.
+    pub fn model(&self) -> Arc<ServingHandle<'static>> {
         self.shared.model.load()
     }
 
@@ -467,12 +380,12 @@ fn worker_loop(shared: &TierShared) {
 /// error) if the deadline fired mid-gather.
 ///
 /// A request carrying a deadline runs its lookup under a [`CancelToken`]
-/// built from that instant: the engine polls the token at the kernel and
-/// probe-loop checkpoints, so a deadline that fires *during* the work
-/// preempts it mid-kernel — surfacing as [`EngineError::Cancelled`], which
+/// built from that instant: the handle polls the token before each key
+/// probe, so a deadline that fires *during* the lookup preempts its
+/// remaining probes — surfacing as [`EngineError::Cancelled`], which
 /// degrades exactly like a deadline observed at a batch boundary (and is
 /// additionally counted in [`TierStats::cancelled`]).
-fn answer(shared: &TierShared, model: &ServingModel, request: Request) {
+fn answer(shared: &TierShared, model: &ServingHandle<'static>, request: Request) {
     let expired = |deadline: Option<Instant>| deadline.is_some_and(|d| Instant::now() > d);
     let result = if expired(request.deadline) {
         past_deadline(shared, model)
@@ -480,11 +393,9 @@ fn answer(shared: &TierShared, model: &ServingModel, request: Request) {
         let cancel = request.deadline.map(CancelToken::with_deadline);
         let mut out = Vec::with_capacity(model.num_features());
         let lookup = catch_unwind(AssertUnwindSafe(|| {
-            match &cancel {
-                Some(token) => model.lookup_cancel(&request.key, &mut out, token),
-                None => model.lookup(&request.key, &mut out),
-            }
-            .map(|()| out)
+            model
+                .lookup_with(&request.key, &mut out, cancel.as_ref())
+                .map(|()| out)
         }));
         match lookup {
             Ok(Ok(_)) if expired(request.deadline) => past_deadline(shared, model),
@@ -510,7 +421,10 @@ fn answer(shared: &TierShared, model: &ServingModel, request: Request) {
 
 /// The deadline-fired outcome: the documented unseen-key row (every feature
 /// NULL) under graceful degradation, a typed error otherwise.
-fn past_deadline(shared: &TierShared, model: &ServingModel) -> Result<Vec<Option<f64>>, TierError> {
+fn past_deadline(
+    shared: &TierShared,
+    model: &ServingHandle<'static>,
+) -> Result<Vec<Option<f64>>, TierError> {
     shared.degraded.fetch_add(1, Ordering::Relaxed);
     if shared.config.degrade_on_deadline {
         Ok(vec![None; model.num_features()])
@@ -593,7 +507,7 @@ mod tests {
 
     #[test]
     fn sharded_model_serves_through_the_tier_unchanged() {
-        use crate::serving::shard::{ShardRouter, ShardedServingHandle};
+        use crate::serving::shard::ShardRouter;
         let mut train = Table::new("users");
         train
             .add_column("uid", Column::from_i64s(&[1, 2, 3]))
@@ -619,7 +533,7 @@ mod tests {
             }],
         );
         let router = ShardRouter::build_for_plan(Arc::new(train), &relevant, &plan, 3).unwrap();
-        let sharded = ShardedServingHandle::prepare(&router, &plan).unwrap();
+        let sharded = router.prepare(&plan).unwrap();
         let tier = ServingTier::new(sharded, TierConfig::default());
         assert_eq!(tier.lookup(&[Value::Int(1)]).unwrap(), vec![Some(30.0)]);
         assert_eq!(tier.lookup(&[Value::Int(2)]).unwrap(), vec![Some(70.0)]);

@@ -271,6 +271,33 @@ fn failpoint_registry_missing_file_is_fatal() {
     );
 }
 
+#[test]
+fn workspace_walk_skips_perfbench() {
+    // perfbench is its own cargo package and cannot reach the engine's
+    // `pub(crate)` lock helpers, so the walk leaves it out; the same bare
+    // lock under the engine's sources is still reported.
+    let line = "fn f(m: &std::sync::Mutex<u8>) {\n    let g = m.lock().expect(\"poisoned\");\n}\n";
+    let root = fixture_workspace(
+        "walk-skips-perfbench",
+        &[
+            ("perfbench/src/reference.rs", line),
+            ("crates/feataug/src/encoding.rs", line),
+            ("crates/feataug/failpoints.txt", ""),
+        ],
+    );
+    let report = lint_workspace(&root).expect("lint fixture workspace");
+    let found: Vec<(&str, u32, &str)> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.file.as_str(), d.line, d.lint))
+        .collect();
+    assert_eq!(
+        found,
+        vec![("crates/feataug/src/encoding.rs", 2, lints::LOCK_DISCIPLINE)]
+    );
+    assert_eq!(report.files_scanned, 1);
+}
+
 // ---------------------------------------------------------------- the real workspace
 
 /// The gate CI runs: the workspace itself must lint clean. Any new unwrap in a

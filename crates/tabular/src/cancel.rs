@@ -1,9 +1,10 @@
 //! Cooperative cancellation for long-running kernel and gather loops.
 //!
 //! A [`CancelToken`] couples an explicit cancel flag with an optional deadline instant. Engines
-//! thread `Option<&CancelToken>` through their aggregation and gather paths and poll
-//! [`CancelToken::is_cancelled`] at cheap checkpoints (every K groups / rows), so a serving tier
-//! can preempt work *mid-kernel* instead of waiting for the next batch boundary. Polling is a
+//! thread `Option<&CancelToken>` through their cancellable paths and poll
+//! [`CancelToken::is_cancelled`] at cheap checkpoints (every K groups of an aggregation, every
+//! key probe of a lookup), so work is preempted mid-operation instead of at the next batch
+//! boundary. Polling is a
 //! relaxed atomic load plus (when a deadline is set) one `Instant::now()` — callers pick a
 //! checkpoint stride that amortises that cost to noise.
 //!

@@ -29,8 +29,9 @@
 //!    task's key columns into four engines behind a [`feataug::ShardRouter`]
 //!    — routed lookups stay bit-identical to the unsharded path, appends
 //!    split by the same hash with per-shard epochs under one router
-//!    generation, and per-request deadlines preempt slow work *mid-kernel*
-//!    through cancellation checkpoints;
+//!    generation, `router.prepare` returns the same `ServingHandle` type the
+//!    tier already serves, and a per-request deadline preempts a lookup
+//!    between its key probes;
 //! 9. go **multi-hop**: register a whole schema of tables in a
 //!    [`feataug::SchemaGraph`], let budgeted join-path search
 //!    ([`feataug::fit_schema`]) decide which paths earn a full search, and
@@ -44,7 +45,7 @@ use feataug::pipeline::AugModel;
 use feataug::schema::{fit_schema, SchemaGraph, SchemaTask};
 use feataug::{
     AugPlan, FeatAug, FeatAugConfig, PlannedQuery, PredicateQuery, ServingTier, ShardRouter,
-    ShardedServingHandle, TierConfig,
+    TierConfig,
 };
 use feataug_ml::{ModelKind, Task};
 use feataug_repro::to_aug_task;
@@ -232,9 +233,10 @@ fn main() {
     // Hash-partition the relevant table by the task's key columns into four
     // shard engines behind one router. Full-key queries co-locate every
     // group on exactly one shard, so routed answers are bit-identical to the
-    // unsharded path; the tier accepts the sharded handle unchanged, and a
-    // per-request deadline preempts a slow lookup mid-kernel through the
-    // engine's cancellation checkpoints (degrading to the all-NULL row).
+    // unsharded path. `router.prepare` builds the same `ServingHandle` type
+    // with one shard per engine, so the tier serves it unchanged, and a
+    // per-request deadline preempts a lookup between its key probes
+    // (degrading to the all-NULL row).
     let shard_planned: Vec<PlannedQuery> = AggFunc::basic()
         .iter()
         .map(|&agg| PlannedQuery {
@@ -254,7 +256,7 @@ fn main() {
     );
     let router = ShardRouter::build_for_plan(task.train.clone(), &task.relevant, &shard_plan, 4)
         .expect("shard router builds");
-    let sharded = ShardedServingHandle::prepare(&router, &shard_plan).expect("prepare sharded");
+    let sharded = router.prepare(&shard_plan).expect("prepare sharded");
     let shard_tier = ServingTier::new(sharded, TierConfig::default());
     let sharded_row = shard_tier
         .lookup_deadline(&key, Duration::from_millis(50))

@@ -11,7 +11,8 @@
 //! * `lookup` for every training key, plus unseen and NULL adversaries
 //!   (which must answer NULL on every shard count, exactly like the
 //!   unsharded engine);
-//! * serve through a prepared [`ShardedServingHandle`] against the unsharded
+//! * serve through the [`ServingHandle`] [`ShardRouter::prepare`] builds —
+//!   point, batch and panic-contained batch lookups — against the unsharded
 //!   `AugModel::serve` reference path;
 //! * `append_relevant` — the router splits the batch by the routing hash and
 //!   publishes per-shard epochs; post-append answers must match the
@@ -26,8 +27,8 @@ use rand::SeedableRng;
 
 use feataug::pipeline::AugModel;
 use feataug::{
-    AugPlan, PlannedQuery, PredicateQuery, QueryCodec, QueryEngine, QueryTemplate, ShardRouter,
-    ShardedServingHandle,
+    AugPlan, PlannedQuery, PredicateQuery, QueryCodec, QueryEngine, QueryTemplate, ServingHandle,
+    ServingTier, ShardRouter, TierConfig,
 };
 use feataug_datagen::GenConfig;
 use feataug_repro::to_aug_task;
@@ -75,6 +76,26 @@ fn bits(values: &[Option<f64>]) -> Vec<Option<u64>> {
 /// The key a train row presents for `query`, aligned with its `group_keys`.
 fn row_key(train: &Table, row: usize, keys: &[String]) -> Vec<Value> {
     keys.iter().map(|k| train.value(row, k).unwrap()).collect()
+}
+
+/// `handle`'s batch surfaces — `lookup_batch` and the per-request
+/// `try_lookup_batch` — answer every key with exactly the bits of the
+/// unsharded `AugModel::serve` reference.
+fn assert_batches_serve_like(
+    model: &AugModel,
+    handle: &ServingHandle,
+    keys: &[Vec<Value>],
+    label: &str,
+) {
+    let batch = handle.lookup_batch(keys).unwrap();
+    let tried = handle.try_lookup_batch(keys);
+    assert_eq!(batch.len(), keys.len());
+    assert_eq!(tried.len(), keys.len());
+    for ((key, got), tried) in keys.iter().zip(&batch).zip(tried) {
+        let want = bits(&model.serve(key).unwrap());
+        assert_eq!(want, bits(got), "lookup_batch, {label}");
+        assert_eq!(want, bits(&tried.unwrap()), "try_lookup_batch, {label}");
+    }
 }
 
 proptest! {
@@ -206,7 +227,7 @@ proptest! {
         }
     }
 
-    /// Serve conformance: a prepared [`ShardedServingHandle`] answers every
+    /// Serve conformance: a prepared sharded [`ServingHandle`] answers every
     /// key with exactly the bits the unsharded `AugModel::serve` reference
     /// path produces — before *and* after a live append (each shard's handle
     /// follows its shard's epochs by itself; no swap anywhere).
@@ -255,7 +276,7 @@ proptest! {
                 n_shards,
             )
             .unwrap();
-            let handle = ShardedServingHandle::prepare(&router, &plan).unwrap();
+            let handle = router.prepare(&plan).unwrap();
             prop_assert_eq!(handle.n_shards(), n_shards);
             prop_assert_eq!(handle.feature_names(), plan.feature_names().as_slice());
             prop_assert_eq!(handle.key_columns(), plan.key_columns.as_slice());
@@ -266,6 +287,7 @@ proptest! {
                 handle.lookup(key, &mut out).unwrap();
                 prop_assert_eq!(bits(&want), bits(&out), "serve, n_shards={}", n_shards);
             }
+            assert_batches_serve_like(&model, &handle, &keys, &format!("n_shards={n_shards}"));
 
             // Live append: both sides ingest the same batch; the handles
             // follow their engines' epochs without any reinstall.
@@ -280,6 +302,12 @@ proptest! {
                         "post-append serve, n_shards={}", n_shards
                     );
                 }
+                assert_batches_serve_like(
+                    &model,
+                    &handle,
+                    &keys,
+                    &format!("post-append, n_shards={n_shards}"),
+                );
             }
         }
     }
@@ -332,4 +360,48 @@ fn single_shard_router_degenerates_to_the_unsharded_path() {
             );
         }
     }
+}
+
+/// The tier serves whatever handle is installed: hot-swapping a 4-shard
+/// handle over a 1-shard one and back again changes no answer, bit for bit.
+#[test]
+fn tier_hot_swaps_between_one_and_four_shards_bit_identically() {
+    let ds = dataset(29, 1);
+    let task = to_aug_task(&ds);
+    let pool = random_pool(&ds, 0x71e2, 4);
+    let plan = AugPlan::new(
+        ds.relevant.name(),
+        ds.key_columns.clone(),
+        pool.iter()
+            .map(|q| PlannedQuery {
+                query: q.clone(),
+                loss: 0.0,
+            })
+            .collect(),
+    );
+    let model = AugModel::compile_shared(plan.clone(), task.train.clone(), task.relevant.clone())
+        .expect("plan compiles");
+    let router = ShardRouter::build_for_plan(task.train.clone(), &ds.relevant, &plan, 4).unwrap();
+    let keys: Vec<Vec<Value>> = (0..ds.train.num_rows().min(16))
+        .map(|row| row_key(&ds.train, row, &plan.key_columns))
+        .chain([plan.key_columns.iter().map(|_| Value::Null).collect()])
+        .collect();
+    let want: Vec<_> = keys
+        .iter()
+        .map(|k| bits(&model.serve(k).unwrap()))
+        .collect();
+
+    let tier = ServingTier::new(model.prepare().unwrap(), TierConfig::default());
+    let check = |tier: &ServingTier, shards: usize| {
+        assert_eq!(tier.model().n_shards(), shards);
+        for (key, want) in keys.iter().zip(&want) {
+            assert_eq!(&bits(&tier.lookup(key).unwrap()), want, "{shards} shard(s)");
+        }
+    };
+    check(&tier, 1);
+    assert_eq!(tier.install(router.prepare(&plan).unwrap()), 1);
+    check(&tier, 4);
+    assert_eq!(tier.install(model.prepare().unwrap()), 2);
+    check(&tier, 1);
+    assert_eq!(tier.stats().cancelled, 0);
 }
