@@ -9,6 +9,7 @@
 //! * [`evaluate_table`] scores an entire augmented table on a train/valid/test protocol (used to
 //!   report the final numbers of the experiment tables).
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use feataug_ml::{evaluate, Dataset, EvalResult, ModelKind, Task};
@@ -27,6 +28,9 @@ pub struct FeatureEvaluator {
     base: Dataset,
     model: ModelKind,
     seed: u64,
+    /// The base table's (train, valid) split, made on first use: every candidate is scored on
+    /// these halves with its column appended, instead of re-splitting base + candidate.
+    halves: OnceLock<Halves>,
     /// Memoized base validation loss. The base table never changes for the
     /// evaluator's lifetime, yet `base_loss` is consulted once per candidate
     /// that fails to materialise — without memoization each such candidate
@@ -47,8 +51,26 @@ impl FeatureEvaluator {
             base,
             model,
             seed,
+            halves: OnceLock::new(),
             base_loss: OnceLock::new(),
         }
+    }
+
+    fn halves(&self) -> &Halves {
+        self.halves.get_or_init(|| {
+            let train_fraction = SPLIT.0 + SPLIT.1;
+            // The rows `split2` takes, so appending a candidate to each half equals splitting
+            // the base table with the candidate appended.
+            let [train_rows, valid_rows, _] =
+                self.base
+                    .split3_indices(train_fraction, 1.0 - train_fraction, self.seed);
+            Halves {
+                train: self.base.take(&train_rows),
+                valid: self.base.take(&valid_rows),
+                train_rows,
+                valid_rows,
+            }
+        })
     }
 
     /// The downstream model kind this evaluator trains.
@@ -66,25 +88,38 @@ impl FeatureEvaluator {
     /// later call returns the cached value.
     pub fn base_loss(&self) -> f64 {
         *self.base_loss.get_or_init(|| {
-            let (train, valid) = self.base.split2(SPLIT.0 + SPLIT.1, self.seed);
-            evaluate(self.model, &train, &valid).loss
+            let halves = self.halves();
+            evaluate(self.model, &halves.train, &halves.valid).loss
         })
     }
 
     /// Validation loss after appending one candidate feature vector (aligned with the training
     /// table's rows). Lower is better.
     pub fn loss_with_feature(&self, name: &str, values: &[f64]) -> f64 {
-        self.result_with_features(&[(name.to_string(), values.to_vec())])
-            .loss
+        self.result_with([(name, values)]).loss
     }
 
     /// Validation result after appending several candidate features.
     pub fn result_with_features(&self, features: &[(String, Vec<f64>)]) -> EvalResult {
-        let mut data = self.base.clone();
+        self.result_with(
+            features
+                .iter()
+                .map(|(name, values)| (name.as_str(), &values[..])),
+        )
+    }
+
+    fn result_with<'f>(
+        &self,
+        features: impl IntoIterator<Item = (&'f str, &'f [f64])>,
+    ) -> EvalResult {
+        let halves = self.halves();
+        let (mut train, mut valid) = (Cow::Borrowed(&halves.train), Cow::Borrowed(&halves.valid));
         for (name, values) in features {
-            data = data.with_feature(name.clone(), values);
+            assert_eq!(values.len(), self.base.len(), "feature length mismatch");
+            let column = |rows: &[usize]| rows.iter().map(|&i| values[i]).collect::<Vec<f64>>();
+            train = Cow::Owned(train.with_feature(name, &column(&halves.train_rows)));
+            valid = Cow::Owned(valid.with_feature(name, &column(&halves.valid_rows)));
         }
-        let (train, valid) = data.split2(SPLIT.0 + SPLIT.1, self.seed);
         evaluate(self.model, &train, &valid)
     }
 
@@ -92,6 +127,15 @@ impl FeatureEvaluator {
     pub fn task(&self) -> Task {
         self.base.task
     }
+}
+
+/// The base table's train and valid halves, with the base row each of their rows came from.
+#[derive(Debug, Clone)]
+struct Halves {
+    train: Dataset,
+    valid: Dataset,
+    train_rows: Vec<usize>,
+    valid_rows: Vec<usize>,
 }
 
 /// Train on 60%, validate on 20% and report the metric on the held-out 20% test split of an
@@ -206,6 +250,47 @@ mod tests {
             evaluator.result_with_features(&[("a".to_string(), f1), ("b".to_string(), f2)]);
         assert_eq!(result.metric, Metric::Auc);
         assert!(result.value > 0.9);
+    }
+
+    #[test]
+    fn cached_halves_score_like_splitting_the_augmented_table() {
+        let t = task();
+        let labels = t.labels().unwrap();
+        let f1: Vec<f64> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| y + ((i * 7) % 5) as f64 * 0.3)
+            .collect();
+        let f2: Vec<f64> = (0..labels.len()).map(|i| ((i * 13) % 11) as f64).collect();
+        for model in [ModelKind::Linear, ModelKind::GradientBoosting] {
+            let evaluator = FeatureEvaluator::new(&t, model, 3);
+            let base = evaluator.base_dataset();
+            let (train, valid) = base.with_feature("f1", &f1).split2(SPLIT.0 + SPLIT.1, 3);
+            let expected = evaluate(model, &train, &valid).loss;
+            let loss = evaluator.loss_with_feature("f1", &f1);
+            assert_eq!(loss.to_bits(), expected.to_bits(), "{model}: one feature");
+
+            let both = base.with_feature("f1", &f1).with_feature("f2", &f2);
+            let (train, valid) = both.split2(SPLIT.0 + SPLIT.1, 3);
+            let expected = evaluate(model, &train, &valid);
+            let result = evaluator.result_with_features(&[
+                ("f1".to_string(), f1.clone()),
+                ("f2".to_string(), f2.clone()),
+            ]);
+            assert_eq!(
+                result.loss.to_bits(),
+                expected.loss.to_bits(),
+                "{model}: two features"
+            );
+
+            let (train, valid) = base.split2(SPLIT.0 + SPLIT.1, 3);
+            let expected = evaluate(model, &train, &valid).loss;
+            assert_eq!(
+                evaluator.base_loss().to_bits(),
+                expected.to_bits(),
+                "{model}: base"
+            );
+        }
     }
 
     #[test]

@@ -203,6 +203,16 @@ impl Dataset {
     /// Deterministic shuffled split into (train, valid, test) with the given fractions
     /// (test gets the remainder). Fractions must sum to at most 1.
     pub fn split3(&self, train: f64, valid: f64, seed: u64) -> (Dataset, Dataset, Dataset) {
+        let [train_idx, valid_idx, test_idx] = self.split3_indices(train, valid, seed);
+        (
+            self.take(&train_idx),
+            self.take(&valid_idx),
+            self.take(&test_idx),
+        )
+    }
+
+    /// The row indices [`Dataset::split3`] takes for (train, valid, test), in order.
+    pub fn split3_indices(&self, train: f64, valid: f64, seed: u64) -> [Vec<usize>; 3] {
         assert!(train + valid <= 1.0 + 1e-9, "fractions exceed 1");
         let mut indices: Vec<usize> = (0..self.len()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -211,14 +221,9 @@ impl Dataset {
         let n_valid = (self.len() as f64 * valid).round() as usize;
         let n_train = n_train.min(self.len());
         let n_valid = n_valid.min(self.len() - n_train);
-        let train_idx = &indices[..n_train];
-        let valid_idx = &indices[n_train..n_train + n_valid];
-        let test_idx = &indices[n_train + n_valid..];
-        (
-            self.take(train_idx),
-            self.take(valid_idx),
-            self.take(test_idx),
-        )
+        let test_idx = indices.split_off(n_train + n_valid);
+        let valid_idx = indices.split_off(n_train);
+        [indices, valid_idx, test_idx]
     }
 
     /// Deterministic shuffled (train, valid) split.

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 
 use crate::dataset::{Dataset, Matrix, Task};
 use crate::model::Model;
-use crate::tree::{DecisionTree, SplitCriterion, TreeConfig};
+use crate::tree::{ColumnRanks, DecisionTree, SplitCriterion, TreeConfig};
 
 /// Random-forest hyperparameters.
 #[derive(Debug, Clone)]
@@ -116,7 +116,7 @@ impl Model for RandomForest {
             let indices: Vec<usize> = (0..sample_size).map(|_| rng.gen_range(0..n)).collect();
             let sub = train.take(&indices);
             let mut tree = DecisionTree::new(self.criterion(), tree_cfg.clone());
-            tree.fit(&sub.x, &sub.y, &mut rng);
+            tree.fit(&ColumnRanks::new(&sub.x), &sub.y, &mut rng);
             self.trees.push(tree);
         }
         self.fitted = true;

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use crate::dataset::{Dataset, Matrix, Task};
 use crate::metrics::sigmoid;
 use crate::model::Model;
-use crate::tree::{DecisionTree, SplitCriterion, TreeConfig};
+use crate::tree::{ColumnRanks, DecisionTree, SplitCriterion, TreeConfig};
 
 /// Boosting hyperparameters.
 #[derive(Debug, Clone)]
@@ -101,8 +101,15 @@ impl GradientBoosting {
         imp
     }
 
-    /// Fit a single booster for a binary (0/1) or regression target.
-    fn fit_single(&self, x: &Matrix, y: &[f64], binary: bool, seed: u64) -> Booster {
+    /// Fit a single booster for a binary (0/1) or regression target. `ranks` presorts `x`.
+    fn fit_single(
+        &self,
+        x: &Matrix,
+        ranks: &ColumnRanks,
+        y: &[f64],
+        binary: bool,
+        seed: u64,
+    ) -> Booster {
         let n = y.len();
         let base_score = if binary {
             // log-odds of the base rate, clipped away from the extremes
@@ -132,7 +139,7 @@ impl GradientBoosting {
             }
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(round as u64));
             let mut tree = DecisionTree::new(SplitCriterion::Variance, self.cfg.tree.clone());
-            tree.fit_grad_hess(x, &grad, &hess, &mut rng);
+            tree.fit_grad_hess(ranks, &grad, &hess, &mut rng);
             let update = tree.predict(x);
             for i in 0..n {
                 raw[i] += self.cfg.learning_rate * update[i];
@@ -155,16 +162,28 @@ impl Model for GradientBoosting {
         self.n_features = data.n_features();
         let mut train = data.clone();
         train.impute_mean();
+        // `x` is the same for every round and every one-vs-rest booster: rank it once.
+        let ranks = ColumnRanks::new(&train.x);
 
         self.boosters.clear();
         match data.task {
             Task::Regression => {
-                self.boosters
-                    .push(self.fit_single(&train.x, &train.y, false, self.cfg.seed));
+                self.boosters.push(self.fit_single(
+                    &train.x,
+                    &ranks,
+                    &train.y,
+                    false,
+                    self.cfg.seed,
+                ));
             }
             Task::BinaryClassification => {
-                self.boosters
-                    .push(self.fit_single(&train.x, &train.y, true, self.cfg.seed));
+                self.boosters.push(self.fit_single(
+                    &train.x,
+                    &ranks,
+                    &train.y,
+                    true,
+                    self.cfg.seed,
+                ));
             }
             Task::MultiClassification { n_classes } => {
                 for c in 0..n_classes {
@@ -175,6 +194,7 @@ impl Model for GradientBoosting {
                         .collect();
                     self.boosters.push(self.fit_single(
                         &train.x,
+                        &ranks,
                         &y,
                         true,
                         self.cfg.seed.wrapping_add(1000 * c as u64),

@@ -7,6 +7,25 @@
 //! * [`crate::gbdt::GradientBoosting`] — second-order regression trees fitted to
 //!   gradient/hessian statistics (XGBoost-style leaf weights `-G / (H + λ)`),
 //! * the "FT + GBDT selector" baseline — via accumulated split-gain feature importances.
+//!
+//! # Split search
+//!
+//! Trees grow on a [`ColumnRanks`] presort, built once per feature matrix and shared by every
+//! tree fitted to it (all boosting rounds; one forest tree per bootstrap sample). It holds, per
+//! feature, the sorted distinct finite values and each row's rank among them; non-finite values
+//! share a sentinel rank that always goes left. At a node of `n` rows, each candidate feature
+//!
+//! 1. marks the ranks its rows hold, which yields the node's distinct values in order without a
+//!    sort,
+//! 2. places up to `n_thresholds + 1` cut points between them (see [`TreeConfig::n_thresholds`]),
+//! 3. scores each cut in one pass over the node's rows (two for [`SplitCriterion::Variance`],
+//!    which needs each side's mean first), comparing ranks rather than values and accumulating
+//!    both sides' statistics without allocating.
+//!
+//! The per-side sums add the same values in the same row order as summing each side on its own,
+//! so the chosen splits are exact, not approximated. A node costs
+//! O(features × (n + thresholds × n)), plus a scan over the feature's distinct-value count for
+//! the marks.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -36,7 +55,11 @@ pub struct TreeConfig {
     pub min_samples_leaf: usize,
     /// Number of candidate features examined at each split (`None` = all features).
     pub max_features: Option<usize>,
-    /// Number of candidate thresholds per feature (quantile-based).
+    /// Spacing of the candidate thresholds per feature (quantile-based). A node holding `m`
+    /// distinct values of a feature steps through them in strides of `m / (n_thresholds + 1)`
+    /// (at least 1), cutting midway between neighbours, so it tries at most
+    /// `n_thresholds + 1` thresholds: 19 distinct values give 17 cuts at the default 16. With
+    /// `0`, the single cut is midway between the smallest and largest value.
     pub n_thresholds: usize,
     /// L2 regularisation on leaf weights (used by the second-order fit).
     pub lambda: f64,
@@ -55,17 +78,102 @@ impl Default for TreeConfig {
     }
 }
 
+/// The rank of a non-finite value: below every finite rank, so it always goes left.
+const MISSING: u32 = 0;
+
+/// A per-feature rank presort of a feature matrix, built once and shared by every tree grown on
+/// that matrix.
+#[derive(Debug, Clone)]
+pub struct ColumnRanks {
+    rows: usize,
+    /// Per feature, the sorted distinct finite values (`-0.0` and `0.0` are one value).
+    values: Vec<Vec<f64>>,
+    /// Column-major: `ranks[f * rows + i]` is one plus the position of row `i`'s value in
+    /// `values[f]`, or [`MISSING`] when the value is not finite.
+    ranks: Vec<u32>,
+}
+
+impl ColumnRanks {
+    /// Rank every feature of `x`.
+    pub fn new(x: &Matrix) -> Self {
+        let rows = x.rows();
+        assert!(u32::try_from(rows).is_ok(), "too many rows to rank");
+        let mut values = Vec::with_capacity(x.cols());
+        let mut ranks = vec![MISSING; rows * x.cols()];
+        let mut order: Vec<usize> = Vec::with_capacity(rows);
+        for f in 0..x.cols() {
+            let column = &mut ranks[f * rows..(f + 1) * rows];
+            order.clear();
+            order.extend((0..rows).filter(|&i| x.get(i, f).is_finite()));
+            order.sort_by(|&a, &b| x.get(a, f).total_cmp(&x.get(b, f)));
+            let mut distinct: Vec<f64> = Vec::new();
+            for &i in &order {
+                let v = x.get(i, f);
+                // `!=` treats -0.0 and 0.0 as one value.
+                if distinct.last() != Some(&v) {
+                    distinct.push(v);
+                }
+                column[i] = distinct.len() as u32;
+            }
+            values.push(distinct);
+        }
+        ColumnRanks {
+            rows,
+            values,
+            ranks,
+        }
+    }
+
+    /// Number of features ranked.
+    fn cols(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Rank of every row on feature `f`.
+    fn column(&self, f: usize) -> &[u32] {
+        &self.ranks[f * self.rows..(f + 1) * self.rows]
+    }
+
+    /// The finite value of rank `rank` on feature `f`.
+    fn value(&self, f: usize, rank: u32) -> f64 {
+        self.values[f][rank as usize - 1]
+    }
+
+    /// The highest rank whose value is `<= threshold` on feature `f`: a row goes left exactly
+    /// when its rank is at most this.
+    fn cut(&self, f: usize, threshold: f64) -> u32 {
+        self.values[f].partition_point(|d| *d <= threshold) as u32
+    }
+}
+
+/// Positions `p` in a node's `m` sorted distinct values where a cut falls between values
+/// `p - 1` and `p`: the float stride of [`TreeConfig::n_thresholds`], accumulated.
+fn cut_positions(m: usize, n_thresholds: usize) -> impl Iterator<Item = usize> {
+    let step = (m as f64 / (n_thresholds + 1) as f64).max(1.0);
+    std::iter::successors(Some(step), move |pos| Some(pos + step))
+        .map(|pos| pos as usize)
+        .take_while(move |&pos| pos < m)
+}
+
 /// A tree node: either an internal split or a leaf.
 #[derive(Debug, Clone)]
-enum Node {
+pub enum Node {
+    /// Rows whose feature value is `<= threshold` or not finite go to `left`, others to `right`.
     Split {
+        /// Feature column tested.
         feature: usize,
+        /// Split threshold.
         threshold: f64,
+        /// Index of the left child in [`DecisionTree::nodes`].
         left: usize,
+        /// Index of the right child in [`DecisionTree::nodes`].
         right: usize,
     },
+    /// A terminal node.
     Leaf {
+        /// Leaf mean, boosting weight or majority class.
         value: f64,
+        /// Per-class probabilities (classification trees only; empty otherwise).
         class_probs: Vec<f64>,
     },
 }
@@ -87,6 +195,16 @@ struct GrowTarget<'a> {
     grad_hess: Option<(&'a [f64], &'a [f64])>,
 }
 
+/// Buffers reused across one tree's nodes, so scoring a threshold allocates nothing.
+struct Scratch {
+    /// `seen[r]`: rank `r` occurs at the node (cleared again while collecting `present`).
+    seen: Vec<bool>,
+    /// The node's distinct finite ranks on the current feature, ascending.
+    present: Vec<u32>,
+    /// Per-class counts of the left and right sides (gini).
+    counts: [Vec<f64>; 2],
+}
+
 impl DecisionTree {
     /// Create an unfitted tree.
     pub fn new(criterion: SplitCriterion, cfg: TreeConfig) -> Self {
@@ -99,27 +217,22 @@ impl DecisionTree {
     }
 
     /// Fit on a plain target (class labels for [`SplitCriterion::Gini`], real targets for
-    /// [`SplitCriterion::Variance`]). `rng` drives the per-split feature subsampling.
-    pub fn fit(&mut self, x: &Matrix, y: &[f64], rng: &mut StdRng) {
-        let indices: Vec<usize> = (0..x.rows()).collect();
-        self.importances = vec![0.0; x.cols()];
-        self.nodes.clear();
-        let target = GrowTarget { y, grad_hess: None };
-        self.grow(x, &target, indices, 0, rng);
+    /// [`SplitCriterion::Variance`]) over the ranked feature matrix `x`. `rng` drives the
+    /// per-split feature subsampling.
+    pub fn fit(&mut self, x: &ColumnRanks, y: &[f64], rng: &mut StdRng) {
+        self.grow_root(x, &GrowTarget { y, grad_hess: None }, rng);
     }
 
-    /// Fit a second-order regression tree to gradients/hessians (XGBoost-style). Leaf values are
-    /// `-G / (H + λ)`; split gain is the standard second-order gain.
-    pub fn fit_grad_hess(&mut self, x: &Matrix, grad: &[f64], hess: &[f64], rng: &mut StdRng) {
+    /// Fit a second-order regression tree to gradients/hessians (XGBoost-style) over the ranked
+    /// feature matrix `x`. Leaf values are `-G / (H + λ)`; split gain is the standard
+    /// second-order gain.
+    pub fn fit_grad_hess(&mut self, x: &ColumnRanks, grad: &[f64], hess: &[f64], rng: &mut StdRng) {
         assert_eq!(grad.len(), hess.len());
-        let indices: Vec<usize> = (0..x.rows()).collect();
-        self.importances = vec![0.0; x.cols()];
-        self.nodes.clear();
         let target = GrowTarget {
             y: grad,
             grad_hess: Some((grad, hess)),
         };
-        self.grow(x, &target, indices, 0, rng);
+        self.grow_root(x, &target, rng);
     }
 
     /// Predicted value per row: leaf mean (regression), leaf weight (boosting) or majority class
@@ -138,6 +251,11 @@ impl DecisionTree {
     /// Accumulated split-gain importance per feature (unnormalised).
     pub fn feature_importances(&self) -> &[f64] {
         &self.importances
+    }
+
+    /// The fitted nodes; the root is node 0.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {
@@ -182,8 +300,7 @@ impl DecisionTree {
             (SplitCriterion::Gini { n_classes }, None) => {
                 let mut counts = vec![0.0; *n_classes];
                 for &i in indices {
-                    let c = (target.y[i].round() as usize).min(n_classes - 1);
-                    counts[c] += 1.0;
+                    counts[class_of(target.y[i], *n_classes)] += 1.0;
                 }
                 let total: f64 = counts.iter().sum();
                 let probs: Vec<f64> = counts.iter().map(|c| c / total.max(1.0)).collect();
@@ -198,46 +315,124 @@ impl DecisionTree {
         }
     }
 
-    /// Impurity of a set of rows under the configured criterion (lower is purer). For the
-    /// second-order fit this is the negative gain term `-G² / (H + λ)`.
-    fn impurity(&self, target: &GrowTarget<'_>, indices: &[usize]) -> f64 {
-        if indices.is_empty() {
-            return 0.0;
-        }
+    /// Impurities of the rows `goes_left` sends left and of the rest, under the configured
+    /// criterion (lower is purer; for the second-order fit the negative gain term
+    /// `-G² / (H + λ)`), or `None` when a side has fewer than `min_leaf` rows. Each side's sums
+    /// add its values in `indices` order, starting from -0.0 like `Iterator::sum`, in one pass
+    /// over `indices` (two for the variance, which needs each side's mean first); an empty side
+    /// scores `0.0`.
+    // Forced inline: a 400-row boosting fit (`cargo bench --bench gbdt`) measured about 15%
+    // faster than with the compiler's own inlining choice for this per-cut call.
+    #[inline(always)]
+    fn side_impurities(
+        &self,
+        target: &GrowTarget<'_>,
+        indices: &[usize],
+        goes_left: impl Fn(usize) -> bool,
+        min_leaf: usize,
+        counts: &mut [Vec<f64>; 2],
+    ) -> Option<(f64, f64)> {
+        let sized = |n_left: usize| n_left >= min_leaf && indices.len() - n_left >= min_leaf;
+        let side = |n: usize, impurity: f64| if n == 0 { 0.0 } else { impurity };
         match (&self.criterion, target.grad_hess) {
             (_, Some((grad, hess))) => {
-                let g: f64 = indices.iter().map(|&i| grad[i]).sum();
-                let h: f64 = indices.iter().map(|&i| hess[i]).sum();
-                -(g * g) / (h + self.cfg.lambda)
+                let (mut gl, mut hl, mut gr, mut hr) = (-0.0, -0.0, -0.0, -0.0);
+                let mut n_left = 0;
+                for &i in indices {
+                    if goes_left(i) {
+                        gl += grad[i];
+                        hl += hess[i];
+                        n_left += 1;
+                    } else {
+                        gr += grad[i];
+                        hr += hess[i];
+                    }
+                }
+                if !sized(n_left) {
+                    return None;
+                }
+                let lambda = self.cfg.lambda;
+                Some((
+                    side(n_left, -(gl * gl) / (hl + lambda)),
+                    side(indices.len() - n_left, -(gr * gr) / (hr + lambda)),
+                ))
             }
             (SplitCriterion::Variance, None) => {
-                let n = indices.len() as f64;
-                let mean = indices.iter().map(|&i| target.y[i]).sum::<f64>() / n;
-                indices
-                    .iter()
-                    .map(|&i| (target.y[i] - mean).powi(2))
-                    .sum::<f64>()
+                let y = target.y;
+                let (mut sl, mut sr) = (-0.0, -0.0);
+                let mut n_left = 0;
+                for &i in indices {
+                    if goes_left(i) {
+                        sl += y[i];
+                        n_left += 1;
+                    } else {
+                        sr += y[i];
+                    }
+                }
+                if !sized(n_left) {
+                    return None;
+                }
+                let n_right = indices.len() - n_left;
+                let (ml, mr) = (sl / n_left as f64, sr / n_right as f64);
+                let (mut vl, mut vr) = (-0.0, -0.0);
+                for &i in indices {
+                    if goes_left(i) {
+                        vl += (y[i] - ml).powi(2);
+                    } else {
+                        vr += (y[i] - mr).powi(2);
+                    }
+                }
+                Some((side(n_left, vl), side(n_right, vr)))
             }
             (SplitCriterion::Gini { n_classes }, None) => {
-                let mut counts = vec![0.0; *n_classes];
+                let [left_counts, right_counts] = counts;
+                left_counts.fill(0.0);
+                right_counts.fill(0.0);
+                let mut n_left = 0;
                 for &i in indices {
-                    let c = (target.y[i].round() as usize).min(n_classes - 1);
-                    counts[c] += 1.0;
+                    let c = class_of(target.y[i], *n_classes);
+                    if goes_left(i) {
+                        left_counts[c] += 1.0;
+                        n_left += 1;
+                    } else {
+                        right_counts[c] += 1.0;
+                    }
                 }
-                let n: f64 = counts.iter().sum();
-                let gini = 1.0 - counts.iter().map(|c| (c / n) * (c / n)).sum::<f64>();
-                gini * n
+                if !sized(n_left) {
+                    return None;
+                }
+                Some((
+                    side(n_left, gini(left_counts)),
+                    side(indices.len() - n_left, gini(right_counts)),
+                ))
             }
         }
     }
 
+    fn grow_root(&mut self, x: &ColumnRanks, target: &GrowTarget<'_>, rng: &mut StdRng) {
+        self.importances = vec![0.0; x.cols()];
+        self.nodes.clear();
+        let n_classes = match self.criterion {
+            SplitCriterion::Gini { n_classes } => n_classes,
+            SplitCriterion::Variance => 0,
+        };
+        let max_rank = x.values.iter().map(Vec::len).max().unwrap_or(0);
+        let mut scratch = Scratch {
+            seen: vec![false; max_rank + 1],
+            present: Vec::with_capacity(max_rank),
+            counts: [vec![0.0; n_classes], vec![0.0; n_classes]],
+        };
+        self.grow(x, target, (0..x.rows).collect(), 0, rng, &mut scratch);
+    }
+
     fn grow(
         &mut self,
-        x: &Matrix,
+        x: &ColumnRanks,
         target: &GrowTarget<'_>,
         indices: Vec<usize>,
         depth: usize,
         rng: &mut StdRng,
+        scratch: &mut Scratch,
     ) -> usize {
         let make_leaf = |tree: &mut DecisionTree, indices: &[usize]| -> usize {
             let (value, class_probs) = tree.leaf_value(target, indices);
@@ -252,7 +447,9 @@ impl DecisionTree {
             return make_leaf(self, &indices);
         }
 
-        let parent_impurity = self.impurity(target, &indices);
+        let (parent_impurity, _) = self
+            .side_impurities(target, &indices, |_| true, 0, &mut scratch.counts)
+            .expect("no side has fewer than 0 rows");
 
         // Candidate features: all, or a random subset of `max_features`.
         let mut features: Vec<usize> = (0..x.cols()).collect();
@@ -261,78 +458,67 @@ impl DecisionTree {
             features.truncate(k.max(1).min(x.cols()));
         }
 
-        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
+        let mut best: Option<(f64, usize, f64, u32)> = None; // (gain, feature, threshold, cut)
         for &f in &features {
-            // Quantile-based candidate thresholds over the finite values of this feature.
-            let mut vals: Vec<f64> = indices
-                .iter()
-                .map(|&i| x.get(i, f))
-                .filter(|v| v.is_finite())
-                .collect();
-            if vals.len() < 2 {
+            let ranks = x.column(f);
+            // The node's distinct finite values, ascending: mark their ranks, then sweep.
+            for &i in &indices {
+                scratch.seen[ranks[i] as usize] = true;
+            }
+            scratch.seen[MISSING as usize] = false;
+            scratch.present.clear();
+            for (rank, seen) in scratch.seen[..=x.values[f].len()].iter_mut().enumerate() {
+                if std::mem::take(seen) {
+                    scratch.present.push(rank as u32);
+                }
+            }
+            let m = scratch.present.len();
+            if m < 2 {
                 continue;
             }
-            vals.sort_by(|a, b| a.total_cmp(b));
-            vals.dedup();
-            if vals.len() < 2 {
-                continue;
-            }
-            let step = (vals.len() as f64 / (self.cfg.n_thresholds + 1) as f64).max(1.0);
-            let mut thresholds: Vec<f64> = Vec::new();
-            let mut pos = step;
-            while (pos as usize) < vals.len() {
-                let a = vals[pos as usize - 1];
-                let b = vals[pos as usize];
-                thresholds.push((a + b) / 2.0);
-                pos += step;
-            }
-            if thresholds.is_empty() {
-                thresholds.push((vals[0] + vals[vals.len() - 1]) / 2.0);
-            }
+            let present = &scratch.present;
+            let value_at = |p: usize| x.value(f, present[p]);
+            let mut thresholds = cut_positions(m, self.cfg.n_thresholds)
+                .map(|pos| (value_at(pos - 1) + value_at(pos)) / 2.0)
+                .peekable();
+            let fallback = thresholds
+                .peek()
+                .is_none()
+                .then(|| (value_at(0) + value_at(m - 1)) / 2.0);
 
-            for &t in &thresholds {
-                let (mut left, mut right) = (Vec::new(), Vec::new());
-                for &i in &indices {
-                    let v = x.get(i, f);
-                    if !v.is_finite() || v <= t {
-                        left.push(i);
-                    } else {
-                        right.push(i);
-                    }
-                }
-                if left.len() < self.cfg.min_samples_leaf || right.len() < self.cfg.min_samples_leaf
-                {
+            for t in thresholds.chain(fallback) {
+                let cut = x.cut(f, t);
+                let Some((left, right)) = self.side_impurities(
+                    target,
+                    &indices,
+                    |i| ranks[i] <= cut,
+                    self.cfg.min_samples_leaf,
+                    &mut scratch.counts,
+                ) else {
                     continue;
-                }
-                let gain =
-                    parent_impurity - self.impurity(target, &left) - self.impurity(target, &right);
-                if gain > 1e-12 && best.as_ref().map(|(g, _, _)| gain > *g).unwrap_or(true) {
-                    best = Some((gain, f, t));
+                };
+                let gain = parent_impurity - left - right;
+                if gain > 1e-12 && best.as_ref().map(|(g, ..)| gain > *g).unwrap_or(true) {
+                    best = Some((gain, f, t, cut));
                 }
             }
         }
 
         match best {
             None => make_leaf(self, &indices),
-            Some((gain, feature, threshold)) => {
+            Some((gain, feature, threshold, cut)) => {
                 self.importances[feature] += gain;
-                let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-                for &i in &indices {
-                    let v = x.get(i, feature);
-                    if !v.is_finite() || v <= threshold {
-                        left_idx.push(i);
-                    } else {
-                        right_idx.push(i);
-                    }
-                }
+                let ranks = x.column(feature);
+                let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
+                    indices.iter().partition(|&&i| ranks[i] <= cut);
                 // Reserve the split node position, then grow children.
                 self.nodes.push(Node::Leaf {
                     value: 0.0,
                     class_probs: Vec::new(),
                 });
                 let node_idx = self.nodes.len() - 1;
-                let left = self.grow(x, target, left_idx, depth + 1, rng);
-                let right = self.grow(x, target, right_idx, depth + 1, rng);
+                let left = self.grow(x, target, left_idx, depth + 1, rng, scratch);
+                let right = self.grow(x, target, right_idx, depth + 1, rng, scratch);
                 self.nodes[node_idx] = Node::Split {
                     feature,
                     threshold,
@@ -343,6 +529,18 @@ impl DecisionTree {
             }
         }
     }
+}
+
+/// Class index of a label, clamped into `0..n_classes`.
+fn class_of(label: f64, n_classes: usize) -> usize {
+    (label.round() as usize).min(n_classes - 1)
+}
+
+/// Gini impurity of a set of rows, from its per-class counts, weighted by its size.
+fn gini(counts: &[f64]) -> f64 {
+    let n: f64 = counts.iter().sum();
+    let gini = 1.0 - counts.iter().map(|c| (c / n) * (c / n)).sum::<f64>();
+    gini * n
 }
 
 #[cfg(test)]
@@ -373,7 +571,7 @@ mod tests {
         let y: Vec<f64> = (0..100).map(|i| if i < 50 { 1.0 } else { 5.0 }).collect();
         let x = Matrix::from_rows(&rows);
         let mut tree = DecisionTree::new(SplitCriterion::Variance, TreeConfig::default());
-        tree.fit(&x, &y, &mut rng());
+        tree.fit(&ColumnRanks::new(&x), &y, &mut rng());
         let preds = tree.predict(&x);
         assert!((preds[0] - 1.0).abs() < 0.3);
         assert!((preds[99] - 5.0).abs() < 0.3);
@@ -384,7 +582,7 @@ mod tests {
         let (x, y) = xor_data();
         let mut tree =
             DecisionTree::new(SplitCriterion::Gini { n_classes: 2 }, TreeConfig::default());
-        tree.fit(&x, &y, &mut rng());
+        tree.fit(&ColumnRanks::new(&x), &y, &mut rng());
         let preds = tree.predict(&x);
         let acc = preds
             .iter()
@@ -400,7 +598,7 @@ mod tests {
         let (x, y) = xor_data();
         let mut tree =
             DecisionTree::new(SplitCriterion::Gini { n_classes: 2 }, TreeConfig::default());
-        tree.fit(&x, &y, &mut rng());
+        tree.fit(&ColumnRanks::new(&x), &y, &mut rng());
         for p in tree.predict_proba(&x) {
             assert_eq!(p.len(), 2);
             assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -415,7 +613,7 @@ mod tests {
         let grad: Vec<f64> = (0..100).map(|i| if i < 50 { 1.0 } else { -1.0 }).collect();
         let hess = vec![1.0; 100];
         let mut tree = DecisionTree::new(SplitCriterion::Variance, TreeConfig::default());
-        tree.fit_grad_hess(&x, &grad, &hess, &mut rng());
+        tree.fit_grad_hess(&ColumnRanks::new(&x), &grad, &hess, &mut rng());
         let preds = tree.predict(&x);
         // Leaf weight = -G/(H+1): left ≈ -50/51, right ≈ +50/51.
         assert!(preds[0] < -0.5);
@@ -435,7 +633,7 @@ mod tests {
         let x2 = Matrix::from_rows(&rows);
         let mut tree =
             DecisionTree::new(SplitCriterion::Gini { n_classes: 2 }, TreeConfig::default());
-        tree.fit(&x2, &y, &mut rng());
+        tree.fit(&ColumnRanks::new(&x2), &y, &mut rng());
         let imp = tree.feature_importances();
         assert!(imp[0] > 0.0);
         assert!(imp[1] > 0.0);
@@ -448,10 +646,41 @@ mod tests {
         let x = Matrix::from_rows(&rows);
         let y = vec![1.0, 1.0, 5.0, 5.0];
         let mut tree = DecisionTree::new(SplitCriterion::Variance, TreeConfig::default());
-        tree.fit(&x, &y, &mut rng());
+        tree.fit(&ColumnRanks::new(&x), &y, &mut rng());
         let preds = tree.predict(&x);
         assert_eq!(preds.len(), 4);
         assert!(preds.iter().all(|p| p.is_finite()));
+    }
+
+    #[test]
+    fn n_thresholds_yields_up_to_one_more_cut() {
+        // The float stride 19 / 17 accumulates to just under 19 at its 17th step.
+        assert_eq!(cut_positions(19, 16).count(), 17);
+        assert_eq!(cut_positions(19, 16).last(), Some(18));
+        for m in 2..600 {
+            let cuts = cut_positions(m, 16).count();
+            assert!((1..=17).contains(&cuts), "{m} values gave {cuts} cuts");
+        }
+        // With no thresholds the stride spans every value; the grower then cuts once, midway
+        // between the extremes.
+        assert_eq!(cut_positions(19, 0).count(), 0);
+    }
+
+    #[test]
+    fn column_ranks_merge_signed_zeros_and_send_non_finite_left() {
+        let x = Matrix::from_rows(&[
+            vec![0.0],
+            vec![f64::NAN],
+            vec![-0.0],
+            vec![1.0],
+            vec![f64::NEG_INFINITY],
+            vec![-1.0],
+        ]);
+        let ranks = ColumnRanks::new(&x);
+        assert_eq!(ranks.column(0), &[2, MISSING, 2, 3, MISSING, 1]);
+        assert_eq!(ranks.cut(0, -0.5), 1);
+        assert_eq!(ranks.cut(0, 0.0), 2);
+        assert_eq!(ranks.cut(0, f64::INFINITY), 3);
     }
 
     #[test]
@@ -462,7 +691,7 @@ mod tests {
             ..TreeConfig::default()
         };
         let mut tree = DecisionTree::new(SplitCriterion::Variance, cfg);
-        tree.fit(&x, &y, &mut rng());
+        tree.fit(&ColumnRanks::new(&x), &y, &mut rng());
         let preds = tree.predict(&x);
         let first = preds[0];
         assert!(preds.iter().all(|&p| (p - first).abs() < 1e-12));
