@@ -67,9 +67,13 @@
 //! per-group feature is delta-updated for the **touched groups only** —
 //! trivial-predicate streaming/moment features resume their per-group
 //! [`StreamDelta`]/[`MomentDelta`] fold state, everything else rescans just
-//! the touched groups' rows through [`apply_kernel`]. Untouched artifacts are
-//! shared with the prior epoch by `Arc`, so an append's aggregation work is
-//! O(touched), not O(table). The finished core is published with one atomic
+//! the touched groups' rows through [`apply_kernel`]. One member pass per
+//! key subset collects those rows, so an append's aggregation work is
+//! O(touched groups' rows), not O(features × table). Untouched artifacts are
+//! shared with the prior epoch by `Arc`; what still scales with the table
+//! is memcpy-class copying (the concatenated table, column views, group-id
+//! vectors, sorted-index merges — see [`QueryEngine::append_relevant`]).
+//! The finished core is published with one atomic
 //! swap; a panic mid-build (chaos-tested via the `exec.ingest.*` failpoints)
 //! leaves the prior epoch serving untouched, by construction. Results after
 //! any append sequence are **bit-identical to a full refit on the
@@ -1553,13 +1557,23 @@ impl<'a> QueryEngine<'a> {
     /// The successor core is built entirely off to the side: every reader
     /// keeps serving the currently-published epoch throughout (lookups never
     /// block behind ingestion) and observes the append atomically at the
-    /// final swap. Cost is O(appended rows + touched groups' rows + compiled
-    /// column views), not O(compiled artifacts × table): untouched group
-    /// runs, inverted lists and per-group features are shared with the prior
-    /// epoch by `Arc`, trivial-predicate streaming features resume their
-    /// per-group fold, and order-stat indexes merge the batch as a lazy
-    /// per-group sorted run. Results after the swap are bit-identical to a
-    /// full refit over the concatenated table (property-tested).
+    /// final swap. Results after the swap are bit-identical to a full refit
+    /// over the concatenated table (property-tested).
+    ///
+    /// Cost. Aggregation work is O(appended rows + touched groups' rows) per
+    /// memoized feature: untouched per-group features, group runs and
+    /// inverted lists are shared with the prior epoch by `Arc`,
+    /// trivial-predicate streaming features resume their per-group fold,
+    /// order-stat indexes merge the batch as a lazy per-group sorted run,
+    /// and every other feature rescans only the touched groups' rows. What
+    /// stays O(table) is copying, not per-feature work: the concatenated
+    /// table (each column allocated once at its exact length), each compiled
+    /// column view (the prior view copied, only the batch converted), and
+    /// per compiled key subset the `group_of_row` copy plus one member pass
+    /// that collects the touched groups' rows; each sorted range index is
+    /// re-merged in full. Per-group arrays (feature values, key maps, fold
+    /// state) are copied at O(groups). `cargo bench -p feataug-bench
+    /// --bench ingest` times one batch at two table sizes.
     ///
     /// A panic mid-build (or a schema mismatch) leaves the published epoch
     /// untouched — the swap is the last step — and surfaces as
@@ -1597,6 +1611,7 @@ impl<'a> QueryEngine<'a> {
         // a plain concat for push-built batches): sharded ingestion cuts
         // sub-batches with `take_with_dict`, and absorbing their full batch
         // dictionary keeps every shard's code assignment globally aligned.
+        // One O(table) copy; each column is allocated at its final length.
         let relevant = TableHandle::from(Arc::new(old.relevant.concat_absorbing(rows)?));
         let total = relevant.num_rows();
         let core = EngineCore::fresh(
@@ -1605,22 +1620,27 @@ impl<'a> QueryEngine<'a> {
             self.shared.cache_capacity.load(Ordering::Relaxed),
         );
 
-        // Column views: re-extracted per compiled column — a branch-free
-        // O(table) memcpy pass, the same extraction a fresh engine pays once
-        // and the only whole-table copy an append makes.
+        // Column views: each compiled view is the prior epoch's view (old
+        // rows never change, and categorical codes are append-only) plus the
+        // batch's rows converted — an O(table) memcpy into an exact-size
+        // vector, with conversion work only for the batch.
         {
             let mut views = write_recover(&core.views);
-            for name in read_recover(&old.views).keys() {
-                views.insert(
-                    name.clone(),
-                    Arc::new(core.relevant.column(name)?.to_f64_vec()),
-                );
+            for (name, old_view) in read_recover(&old.views).iter() {
+                let mut view = Vec::with_capacity(total);
+                view.extend_from_slice(old_view);
+                core.relevant
+                    .column(name)?
+                    .extend_f64_view(base..total, &mut view);
+                views.insert(name.clone(), Arc::new(view));
             }
         }
 
         // Group indexes: extended per compiled subset. Group ids are stable
         // (first-appearance order is append-only), so every group-aligned
-        // artifact downstream can be delta-updated in place.
+        // artifact downstream can be delta-updated in place. Each subset's
+        // delta also carries its touched groups' rows, collected in one pass
+        // and shared by every order index and feature on that subset.
         let mut deltas: HashMap<Vec<String>, SubsetDelta> = HashMap::new();
         {
             let mut groups = write_recover(&core.groups);
@@ -1705,8 +1725,9 @@ impl<'a> QueryEngine<'a> {
             };
             let view = core.view(column)?;
             let mut delta_map = idx.delta.clone();
-            for (&g, rows_of_g) in &delta_info.appended {
-                let mut batch: Vec<(f64, u32)> = rows_of_g
+            for (t, &g) in delta_info.touched.iter().enumerate() {
+                let mut batch: Vec<(f64, u32)> = delta_info
+                    .appended(t)
                     .iter()
                     .filter_map(|&r| view[r as usize].map(|v| (v, r)))
                     .collect();
@@ -1764,7 +1785,7 @@ impl<'a> QueryEngine<'a> {
         // — so post-append lookups and transforms stay pure cache reads.
         for (key, gf) in read_recover(&old.group_feats).iter() {
             let entry = match deltas.get(&gf.query.group_keys) {
-                Some(d) => self.delta_group_feature(&core, gf, d, base)?,
+                Some(d) => self.delta_group_feature(&core, gf, d)?,
                 None => {
                     let gi = core.group_index(&self.train, &gf.query.group_keys)?;
                     Arc::new(GroupFeature {
@@ -1780,7 +1801,7 @@ impl<'a> QueryEngine<'a> {
         let mut touched_groups = 0;
         let mut new_groups = 0;
         for d in deltas.values() {
-            touched_groups += d.appended.len() - d.new_groups;
+            touched_groups += d.touched.len() - d.new_groups;
             new_groups += d.new_groups;
         }
         crate::fail_point!("exec.ingest.publish");
@@ -1815,7 +1836,6 @@ impl<'a> QueryEngine<'a> {
         core: &EngineCore<'a>,
         old_gf: &GroupFeature,
         delta: &SubsetDelta,
-        base: usize,
     ) -> EngineResult<Arc<GroupFeature>> {
         let query = &old_gf.query;
         let agg = query.agg;
@@ -1831,14 +1851,21 @@ impl<'a> QueryEngine<'a> {
             }));
         }
 
-        // Which appended rows survive the predicate, per group (ascending row
-        // order within each group, matching the engine's visit order).
-        let mut selected: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (&g, rows_of_g) in &delta.appended {
-            for &r in rows_of_g {
+        // Which appended rows survive the predicate, per touched group
+        // (ascending row order within each group, matching the engine's visit
+        // order). Groups the batch touched without a surviving row keep their
+        // prior aggregate.
+        let mut selected_rows: Vec<u32> = Vec::new();
+        let mut selected: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        for t in 0..delta.touched.len() {
+            let from = selected_rows.len();
+            for &r in delta.appended(t) {
                 if trivial || core.row_matches(&query.predicate, r as usize)? {
-                    selected.entry(g).or_default().push(r);
+                    selected_rows.push(r);
                 }
+            }
+            if selected_rows.len() > from {
+                selected.push((t, from..selected_rows.len()));
             }
         }
 
@@ -1861,27 +1888,19 @@ impl<'a> QueryEngine<'a> {
                 FeatureState::Stream(m) => m.clone(),
                 _ => HashMap::new(),
             };
-            // First touch of a group: fold its historical rows once to seed
-            // the resumable state; later appends skip straight to the resume.
-            let need: Vec<u32> = selected
-                .keys()
-                .filter(|g| !state.contains_key(g))
-                .copied()
-                .collect();
-            if !need.is_empty() {
-                let mut hist: HashMap<u32, StreamDelta> =
-                    need.iter().map(|&g| (g, StreamDelta::new(agg))).collect();
-                for (row, &g) in gi.group_of_row[..base].iter().enumerate() {
-                    if let Some(d) = hist.get_mut(&g) {
-                        d.observe(agg, view[row]);
+            for (t, range) in &selected {
+                let g = delta.touched[*t];
+                // First touch of a group: fold its historical rows once to
+                // seed the resumable state; later appends skip straight to
+                // the resume.
+                let d = state.entry(g).or_insert_with(|| {
+                    let mut d = StreamDelta::new(agg);
+                    for &r in delta.history(*t) {
+                        d.observe(agg, view[r as usize]);
                     }
-                }
-                state.extend(hist);
-            }
-            for (&g, rows_sel) in &selected {
-                // lint: allow(panic): the `need` pass seeded every selected group into `state`
-                let d = state.get_mut(&g).expect("state seeded above");
-                for &r in rows_sel {
+                    d
+                });
+                for &r in &selected_rows[range.clone()] {
                     d.observe(agg, view[r as usize]);
                 }
                 values[g as usize] = d.finalize(agg);
@@ -1892,78 +1911,57 @@ impl<'a> QueryEngine<'a> {
                 FeatureState::Moment(m) => m.clone(),
                 _ => HashMap::new(),
             };
-            let need: Vec<u32> = selected
-                .keys()
-                .filter(|g| !state.contains_key(g))
-                .copied()
-                .collect();
-            if !need.is_empty() {
-                let mut hist: HashMap<u32, MomentDelta> =
-                    need.iter().map(|&g| (g, MomentDelta::new())).collect();
-                for (row, &g) in gi.group_of_row[..base].iter().enumerate() {
-                    if let Some(d) = hist.get_mut(&g) {
-                        d.observe(view[row]);
+            let wants_m4 = agg == AggFunc::Kurtosis;
+            for (t, range) in &selected {
+                let g = delta.touched[*t];
+                let d = state.entry(g).or_insert_with(|| {
+                    let mut d = MomentDelta::new();
+                    for &r in delta.history(*t) {
+                        d.observe(view[r as usize]);
                     }
-                }
-                state.extend(hist);
-            }
-            // Resume pass 1 over the appended rows …
-            for (&g, rows_sel) in &selected {
-                // lint: allow(panic): the `need` pass seeded every selected group into `state`
-                let d = state.get_mut(&g).expect("state seeded above");
-                for &r in rows_sel {
+                    d
+                });
+                // Resume pass 1 over the appended rows …
+                for &r in &selected_rows[range.clone()] {
                     d.observe(view[r as usize]);
                 }
-            }
-            // … then pass 2 rescans each touched group with the new mean.
-            let wants_m4 = agg == AggFunc::Kurtosis;
-            let mut m2: HashMap<u32, f64> = selected.keys().map(|&g| (g, 0.0)).collect();
-            let mut m4: HashMap<u32, f64> = selected.keys().map(|&g| (g, 0.0)).collect();
-            for (row, &g) in gi.group_of_row.iter().enumerate() {
-                let Some(slot) = m2.get_mut(&g) else { continue };
-                if let Some(v) = view[row] {
-                    let mean = state[&g].mean();
-                    accumulate_m2(slot, v, mean);
-                    if wants_m4 {
-                        // lint: allow(panic): m2 and m4 are built from the same `selected` key set
-                        accumulate_m4(m4.get_mut(&g).expect("same keys as m2"), v, mean);
+                // … then pass 2 rescans the group with the new mean.
+                let mean = d.mean();
+                let (mut m2, mut m4) = (0.0, 0.0);
+                for &r in delta.members(*t) {
+                    if let Some(v) = view[r as usize] {
+                        accumulate_m2(&mut m2, v, mean);
+                        if wants_m4 {
+                            accumulate_m4(&mut m4, v, mean);
+                        }
                     }
                 }
-            }
-            for (g, d) in &state {
-                if !m2.contains_key(g) {
-                    continue;
-                }
-                values[*g as usize] = if d.sel == 0 {
+                values[g as usize] = if d.sel == 0 {
                     None
                 } else {
-                    moment_finalize(agg, d.nonnull as usize, m2[g], m4[g])
+                    moment_finalize(agg, d.nonnull as usize, m2, m4)
                 };
             }
             FeatureState::Moment(state)
         } else {
             // Universal fallback: rescan each touched group end to end and
             // apply the slice kernel — the reference semantics by definition.
-            let mut sel: HashMap<u32, u64> = selected.keys().map(|&g| (g, 0)).collect();
-            let mut vals: HashMap<u32, Vec<f64>> =
-                selected.keys().map(|&g| (g, Vec::new())).collect();
-            for (row, &g) in gi.group_of_row.iter().enumerate() {
-                let Some(count) = sel.get_mut(&g) else {
-                    continue;
-                };
-                if trivial || core.row_matches(&query.predicate, row)? {
-                    *count += 1;
-                    if let Some(v) = view[row] {
-                        // lint: allow(panic): sel and vals are built from the same `selected` key set
-                        vals.get_mut(&g).expect("same keys as sel").push(v);
+            let mut vals: Vec<f64> = Vec::new();
+            for (t, _) in &selected {
+                vals.clear();
+                let mut count = 0u64;
+                for &r in delta.members(*t) {
+                    if trivial || core.row_matches(&query.predicate, r as usize)? {
+                        count += 1;
+                        if let Some(v) = view[r as usize] {
+                            vals.push(v);
+                        }
                     }
                 }
-            }
-            for (g, count) in &sel {
-                values[*g as usize] = if *count == 0 {
+                values[delta.touched[*t] as usize] = if count == 0 {
                     None
                 } else {
-                    apply_kernel(agg, &vals[g])
+                    apply_kernel(agg, &vals)
                 };
             }
             FeatureState::None
@@ -1977,23 +1975,57 @@ impl<'a> QueryEngine<'a> {
     }
 }
 
-/// Per-key-subset outcome of extending a group index with one append batch.
+/// Per-key-subset outcome of extending a group index with one append batch:
+/// the extended index plus every row of every group the batch touched, so
+/// the delta paths visit only those groups' rows instead of the table.
 struct SubsetDelta {
     /// The extended index (old group ids are stable; new keys get the next
     /// dense ids).
     gi: Arc<GroupIndex>,
-    /// Appended row ids per group that received any, in ascending row order.
-    appended: HashMap<u32, Vec<u32>>,
-    /// How many of those groups were minted by this batch.
+    /// Groups that received appended rows, in first-touch order.
+    touched: Vec<u32>,
+    /// Member-run bounds into `rows` (`touched.len() + 1` entries): the rows
+    /// of `touched[t]` are `rows[starts[t]..starts[t + 1]]`.
+    starts: Vec<u32>,
+    /// Every row of each touched group, ascending within the group — the
+    /// order a full rescan visits them.
+    rows: Vec<u32>,
+    /// Rows before the batch (`base..` are the appended ones).
+    base: usize,
+    /// How many of the touched groups were minted by this batch.
     new_groups: usize,
 }
+
+impl SubsetDelta {
+    /// Every row of touched group `t`, ascending.
+    fn members(&self, t: usize) -> &[u32] {
+        &self.rows[self.starts[t] as usize..self.starts[t + 1] as usize]
+    }
+
+    /// The rows touched group `t` held before the batch.
+    fn history(&self, t: usize) -> &[u32] {
+        let members = self.members(t);
+        &members[..members.partition_point(|&r| (r as usize) < self.base)]
+    }
+
+    /// The batch's rows of touched group `t`.
+    fn appended(&self, t: usize) -> &[u32] {
+        let members = self.members(t);
+        &members[members.partition_point(|&r| (r as usize) < self.base)..]
+    }
+}
+
+/// Marks a group the batch did not touch in [`extend_group_index`]'s slot
+/// vector.
+const UNTOUCHED: u32 = u32::MAX;
 
 /// Extend `old_gi` over `relevant` (the concatenated table) with the rows at
 /// `base..`. Existing keys keep their group ids; new keys continue the dense
 /// first-appearance numbering, so the result is exactly what
-/// [`build_group_index`] would produce from scratch — at O(appended) cost
-/// unless the batch mints a key (which forces one train-side rescan of the
-/// previously-unmatched rows).
+/// [`build_group_index`] would produce from scratch. Key hashing is
+/// O(appended); the `group_of_row` copy and the one member pass that
+/// collects the touched groups' rows are O(table) memory passes; a batch
+/// that mints a key also rescans the previously-unmatched train rows.
 fn extend_group_index(
     old_gi: &GroupIndex,
     relevant: &Table,
@@ -2008,9 +2040,11 @@ fn extend_group_index(
         .collect::<feataug_tabular::Result<_>>()?;
 
     let mut key_to_group = old_gi.key_to_group.clone();
-    let mut group_of_row = old_gi.group_of_row.clone();
-    group_of_row.reserve(relevant.num_rows() - base);
-    let mut appended: HashMap<u32, Vec<u32>> = HashMap::new();
+    let mut group_of_row = Vec::with_capacity(relevant.num_rows());
+    group_of_row.extend_from_slice(&old_gi.group_of_row);
+    // Dense per-group slot: the group's position in `touched`, or UNTOUCHED.
+    let mut slot: Vec<u32> = vec![UNTOUCHED; old_gi.n_groups];
+    let mut touched: Vec<u32> = Vec::new();
     let mut new_keys: HashMap<Vec<KeyAtom>, u32> = HashMap::new();
     let mut key_buf: Vec<KeyAtom> = Vec::with_capacity(cols.len());
     for row in base..relevant.num_rows() {
@@ -2022,13 +2056,39 @@ fn extend_group_index(
                 let id = key_to_group.len() as u32;
                 key_to_group.insert(key_buf.clone(), id);
                 new_keys.insert(key_buf.clone(), id);
+                slot.push(UNTOUCHED);
                 id
             }
         };
         group_of_row.push(id);
-        appended.entry(id).or_default().push(row as u32);
+        if slot[id as usize] == UNTOUCHED {
+            slot[id as usize] = touched.len() as u32;
+            touched.push(id);
+        }
     }
     let n_groups = key_to_group.len();
+
+    // One member pass: collect every row of the touched groups, then place
+    // them into per-group runs (a counting sort on the slot, stable, so each
+    // run stays ascending).
+    let mut starts = vec![0u32; touched.len() + 1];
+    let mut hits: Vec<(u32, u32)> = Vec::new();
+    for (row, &g) in group_of_row.iter().enumerate() {
+        let t = slot[g as usize];
+        if t != UNTOUCHED {
+            starts[t as usize + 1] += 1;
+            hits.push((t, row as u32));
+        }
+    }
+    for t in 0..touched.len() {
+        starts[t + 1] += starts[t];
+    }
+    let mut cursors = starts[..touched.len()].to_vec();
+    let mut rows = vec![0u32; hits.len()];
+    for (t, row) in hits {
+        rows[cursors[t as usize] as usize] = row;
+        cursors[t as usize] += 1;
+    }
 
     // Train rows that already matched keep their ids (ids are stable). Only
     // previously-unmatched rows can newly match a key minted by this batch —
@@ -2053,7 +2113,10 @@ fn extend_group_index(
             train_group,
             key_to_group,
         }),
-        appended,
+        touched,
+        starts,
+        rows,
+        base,
         new_groups,
     })
 }
@@ -3867,6 +3930,102 @@ mod tests {
                 err.to_string().contains("nope"),
                 "workers={workers}: expected the bad column's error, got {err}"
             );
+        }
+    }
+
+    /// Two appends walk every delta path — Stream resume (Sum, Min), Moment
+    /// (Var), the universal fallback (Count and Avg under a predicate) and
+    /// the order index (Median) — over NaN, -0.0 and NULL values, and must
+    /// match a fresh engine over the concatenated table bit for bit. `a` is
+    /// touched by both batches, `b` first by the second, `d` is minted by
+    /// the first and touched again, `e` is minted by the second, and `c`
+    /// is never touched.
+    #[test]
+    fn delta_paths_match_a_fresh_engine_bit_for_bit() {
+        fn logs(rows: &[(&str, Option<f64>, &str, i64)]) -> Table {
+            let names: Vec<&str> = rows.iter().map(|r| r.0).collect();
+            let prices: Vec<Option<f64>> = rows.iter().map(|r| r.1).collect();
+            let depts: Vec<&str> = rows.iter().map(|r| r.2).collect();
+            let ts: Vec<i64> = rows.iter().map(|r| r.3).collect();
+            Table::new("logs")
+                .with_column("cname", Column::from_strs(&names))
+                .unwrap()
+                .with_column("pprice", Column::from_opt_f64s(&prices))
+                .unwrap()
+                .with_column("department", Column::from_strs(&depts))
+                .unwrap()
+                .with_column("ts", Column::from_datetimes(&ts))
+                .unwrap()
+        }
+        let base = logs(&[
+            ("a", Some(1.0), "E", 100),
+            ("b", Some(-0.0), "H", 200),
+            ("a", None, "E", 300),
+            ("c", Some(f64::NAN), "E", 400),
+            ("b", Some(2.5), "E", 500),
+            ("c", Some(4.0), "H", 600),
+        ]);
+        let b1 = logs(&[
+            ("a", Some(-0.0), "E", 700),
+            ("d", Some(3.0), "H", 800),
+            ("a", Some(7.5), "H", 900),
+        ]);
+        let b2 = logs(&[
+            ("b", None, "E", 1000),
+            ("a", Some(f64::NAN), "E", 1100),
+            ("e", Some(-2.0), "E", 1200),
+            ("d", Some(0.0), "E", 1300),
+        ]);
+        let train = Table::new("users")
+            .with_column("cname", Column::from_strs(&["a", "b", "c", "d", "e", "z"]))
+            .unwrap();
+        let window = Predicate::between("ts", Value::DateTime(250), Value::DateTime(1150));
+        let queries = [
+            query(AggFunc::Sum, Predicate::True, &["cname"]),
+            query(AggFunc::Min, Predicate::True, &["cname"]),
+            query(AggFunc::Var, Predicate::True, &["cname"]),
+            query(AggFunc::Count, Predicate::eq("department", "E"), &["cname"]),
+            query(AggFunc::Avg, window, &["cname"]),
+            query(AggFunc::Median, Predicate::True, &["cname"]),
+        ];
+
+        let engine = QueryEngine::new(&train, &base);
+        engine.transform(&queries, &train).unwrap();
+        let first = engine.append_relevant(&b1).unwrap();
+        assert_eq!((first.touched_groups, first.new_groups), (1, 1));
+        let second = engine.append_relevant(&b2).unwrap();
+        assert_eq!((second.touched_groups, second.new_groups), (3, 1));
+        assert_eq!((second.epoch, second.total_rows), (2, 13));
+
+        // The trivial streaming and moment features resumed per-group state
+        // for every group an append touched: a, d, b and e.
+        let core = engine.core();
+        let feats = read_recover(&core.group_feats);
+        let state_of = |q: &PredicateQuery| &feats[&FeatureCache::key(q)].state;
+        assert!(matches!(state_of(&queries[0]), FeatureState::Stream(m) if m.len() == 4));
+        assert!(matches!(state_of(&queries[2]), FeatureState::Moment(m) if m.len() == 4));
+
+        let full = base.concat(&b1).unwrap().concat(&b2).unwrap();
+        let fresh = QueryEngine::new(&train, &full);
+        let bits = |cols: Vec<Vec<Option<f64>>>| -> Vec<Vec<Option<u64>>> {
+            cols.iter()
+                .map(|c| c.iter().map(|v| v.map(f64::to_bits)).collect())
+                .collect()
+        };
+        assert_eq!(
+            bits(engine.transform(&queries, &train).unwrap()),
+            bits(fresh.transform(&queries, &train).unwrap())
+        );
+        for q in &queries {
+            for name in ["a", "b", "c", "d", "e", "z"] {
+                let key = [Value::Str(name.into())];
+                assert_eq!(
+                    engine.lookup(q, &key).unwrap().map(f64::to_bits),
+                    fresh.lookup(q, &key).unwrap().map(f64::to_bits),
+                    "{} for {name}",
+                    q.to_sql("R")
+                );
+            }
         }
     }
 

@@ -35,12 +35,7 @@ impl Bencher {
                 break;
             }
         }
-        let per_iter = warm_start.elapsed() / warm_iters.max(1) as u32;
-        let timed_iters = if per_iter.is_zero() {
-            1000
-        } else {
-            ((self.target.as_nanos() / per_iter.as_nanos().max(1)) as u64).clamp(10, 1_000_000)
-        };
+        let timed_iters = self.timed_iters(warm_start.elapsed() / warm_iters.max(1) as u32);
 
         let start = Instant::now();
         for _ in 0..timed_iters {
@@ -48,6 +43,50 @@ impl Bencher {
         }
         self.mean = start.elapsed() / timed_iters as u32;
     }
+
+    /// Measure `routine` on a fresh input from `setup` each iteration. Only
+    /// the routine is timed: building the input and dropping the output are
+    /// not.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        // Mean routine time over `iters` iterations or, without a count, over
+        // as many as `budget` of routine time takes (at least one).
+        let mut timed = |iters: Option<u64>, budget: Duration| {
+            let (mut spent, mut done) = (Duration::ZERO, 0u64);
+            while iters.map_or(done == 0 || spent < budget, |n| done < n) {
+                let input = setup();
+                let start = Instant::now();
+                let out = black_box(routine(input));
+                spent += start.elapsed();
+                drop(out);
+                done += 1;
+            }
+            spent / done.max(1) as u32
+        };
+        let per_iter = timed(None, self.target / 10);
+        let timed_iters = self.timed_iters(per_iter);
+        self.mean = timed(Some(timed_iters), Duration::ZERO);
+    }
+
+    /// Timed iterations that fill the budget at `per_iter` each (at least 10).
+    fn timed_iters(&self, per_iter: Duration) -> u64 {
+        if per_iter.is_zero() {
+            1000
+        } else {
+            ((self.target.as_nanos() / per_iter.as_nanos().max(1)) as u64).clamp(10, 1_000_000)
+        }
+    }
+}
+
+/// How many inputs [`Bencher::iter_batched`] prepares at once. This harness
+/// has only criterion's one-setup-per-iteration mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// One setup per iteration.
+    PerIteration,
 }
 
 /// The benchmark harness handle.
@@ -131,5 +170,27 @@ mod tests {
             ran = true;
         });
         assert!(ran);
+    }
+
+    #[test]
+    fn iter_batched_runs_setup_once_per_routine_call() {
+        let mut b = Bencher {
+            mean: Duration::ZERO,
+            target: Duration::from_millis(20),
+        };
+        let (mut setups, mut routines) = (0u64, 0u64);
+        b.iter_batched(
+            || {
+                setups += 1;
+                vec![1u8; 64]
+            },
+            |v| {
+                routines += 1;
+                v.len()
+            },
+            BatchSize::PerIteration,
+        );
+        assert_eq!(setups, routines);
+        assert!(routines >= 11, "warm-up plus at least 10 timed iterations");
     }
 }

@@ -5,6 +5,7 @@
 //! group-by keys and mutual-information estimates can work on small integer codes.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::error::TabularError;
 use crate::schema::DataType;
@@ -315,6 +316,62 @@ impl Column {
         Ok(())
     }
 
+    /// Rows the column can hold without reallocating.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        match self {
+            Column::Int(v) => v.capacity(),
+            Column::Float(v) => v.capacity(),
+            Column::Bool(v) => v.capacity(),
+            Column::DateTime(v) => v.capacity(),
+            Column::Cat(c) => c.codes.capacity(),
+        }
+    }
+
+    /// This column's rows followed by `other`'s, in one allocation of exactly
+    /// `self.len() + other.len()` rows. Categorical columns keep this column's codes and
+    /// either intern `other`'s values row by row (as [`Column::push`] would) or, with
+    /// `absorb_dict`, absorb `other`'s whole dictionary first
+    /// ([`CatColumn::extend_absorbing_dict`]).
+    pub(crate) fn stacked(&self, other: &Column, absorb_dict: bool) -> Result<Column> {
+        fn stack<T: Copy>(a: &[T], b: &[T]) -> Vec<T> {
+            let mut out = Vec::with_capacity(a.len() + b.len());
+            out.extend_from_slice(a);
+            out.extend_from_slice(b);
+            out
+        }
+        Ok(match (self, other) {
+            (Column::Int(a), Column::Int(b)) => Column::Int(stack(a, b)),
+            (Column::Float(a), Column::Float(b)) => Column::Float(stack(a, b)),
+            (Column::Bool(a), Column::Bool(b)) => Column::Bool(stack(a, b)),
+            (Column::DateTime(a), Column::DateTime(b)) => Column::DateTime(stack(a, b)),
+            (Column::Cat(a), Column::Cat(b)) => {
+                let mut codes = Vec::with_capacity(a.len() + b.len());
+                codes.extend_from_slice(&a.codes);
+                let mut out = CatColumn {
+                    dict: a.dict.clone(),
+                    index: a.index.clone(),
+                    codes,
+                };
+                if absorb_dict {
+                    out.extend_absorbing_dict(b);
+                } else {
+                    for i in 0..b.len() {
+                        out.push(b.get(i));
+                    }
+                }
+                Column::Cat(out)
+            }
+            (a, b) => {
+                return Err(TabularError::TypeMismatch {
+                    column: String::new(),
+                    expected: a.dtype().name(),
+                    actual: b.dtype().name(),
+                })
+            }
+        })
+    }
+
     /// Build a new column containing the rows at `indices` (in order, duplicates allowed).
     pub fn take(&self, indices: &[usize]) -> Column {
         match self {
@@ -355,15 +412,21 @@ impl Column {
     /// Numeric view of the column: one `Option<f64>` per row. Strings map to `None`.
     /// Booleans become 0.0/1.0 and datetimes their epoch seconds.
     pub fn to_f64_vec(&self) -> Vec<Option<f64>> {
+        let mut out = Vec::with_capacity(self.len());
+        self.extend_f64_view(0..self.len(), &mut out);
+        out
+    }
+
+    /// Append the numeric view (as [`Column::to_f64_vec`]) of the rows in `rows` to `out`.
+    pub fn extend_f64_view(&self, rows: Range<usize>, out: &mut Vec<Option<f64>>) {
         match self {
-            Column::Int(v) => v.iter().map(|x| x.map(|x| x as f64)).collect(),
-            Column::Float(v) => v.clone(),
-            Column::Bool(v) => v
-                .iter()
-                .map(|x| x.map(|b| if b { 1.0 } else { 0.0 }))
-                .collect(),
-            Column::DateTime(v) => v.iter().map(|x| x.map(|x| x as f64)).collect(),
-            Column::Cat(c) => c.codes().iter().map(|x| x.map(|c| c as f64)).collect(),
+            Column::Int(v) => out.extend(v[rows].iter().map(|x| x.map(|x| x as f64))),
+            Column::Float(v) => out.extend_from_slice(&v[rows]),
+            Column::Bool(v) => {
+                out.extend(v[rows].iter().map(|x| x.map(|b| if b { 1.0 } else { 0.0 })))
+            }
+            Column::DateTime(v) => out.extend(v[rows].iter().map(|x| x.map(|x| x as f64))),
+            Column::Cat(c) => out.extend(c.codes[rows].iter().map(|x| x.map(|c| c as f64))),
         }
     }
 
@@ -545,6 +608,20 @@ mod tests {
 
         let all_null = Column::from_opt_f64s(&[None, None]);
         assert_eq!(all_null.numeric_range(), None);
+
+        // A view extended range by range equals the whole-column view.
+        for col in [
+            c,
+            Column::from_opt_f64s(&[Some(-0.5), None, Some(2.0)]),
+            Column::Bool(vec![Some(true), None, Some(false)]),
+            Column::DateTime(vec![None, Some(60), Some(120)]),
+            Column::from_opt_strs(&[Some("b"), None, Some("a")]),
+        ] {
+            let mut view = Vec::new();
+            col.extend_f64_view(0..1, &mut view);
+            col.extend_f64_view(1..3, &mut view);
+            assert_eq!(view, col.to_f64_vec(), "{:?}", col.dtype());
+        }
     }
 
     #[test]

@@ -201,26 +201,18 @@ impl Table {
     }
 
     /// Vertically stack another table with an identical schema under this one.
+    ///
+    /// Each result column is allocated once, at exactly `self.num_rows() + other.num_rows()`
+    /// rows, and filled by appending this table's rows and then `other`'s: no column is
+    /// copied twice and the result holds no spare capacity.
     pub fn concat(&self, other: &Table) -> Result<Table> {
-        if self.schema != *other.schema() {
-            return Err(TabularError::InvalidArgument(
-                "concat requires identical schemas".to_string(),
-            ));
-        }
-        let mut out = self.clone();
-        for (idx, field) in self.schema.fields().iter().enumerate() {
-            let other_col = other.column(&field.name)?;
-            for i in 0..other.num_rows() {
-                out.columns[idx].push(other_col.get(i))?;
-            }
-        }
-        out.num_rows += other.num_rows();
-        Ok(out)
+        self.concat_with(other, false)
     }
 
     /// Like [`Table::concat`], but categorical columns absorb `other`'s *entire* dictionary
     /// (in `other`'s dictionary order) before any row is appended — see
-    /// [`crate::column::CatColumn::extend_absorbing_dict`].
+    /// [`crate::column::CatColumn::extend_absorbing_dict`]. Allocates exactly like
+    /// [`Table::concat`].
     ///
     /// For batches whose dictionary order equals row first-appearance order (anything built by
     /// pushes or a plain `take`) this is bit-identical to [`Table::concat`]. Partitioned
@@ -228,25 +220,26 @@ impl Table {
     /// carry the full batch dictionary, so every partition interns the batch's novel values
     /// in the same global order regardless of which rows it owns.
     pub fn concat_absorbing(&self, other: &Table) -> Result<Table> {
+        self.concat_with(other, true)
+    }
+
+    /// The shared body of [`Table::concat`] and [`Table::concat_absorbing`].
+    fn concat_with(&self, other: &Table, absorb_dicts: bool) -> Result<Table> {
         if self.schema != *other.schema() {
             return Err(TabularError::InvalidArgument(
                 "concat requires identical schemas".to_string(),
             ));
         }
-        let mut out = self.clone();
-        for (idx, field) in self.schema.fields().iter().enumerate() {
-            let other_col = other.column(&field.name)?;
-            match (&mut out.columns[idx], other_col) {
-                (Column::Cat(dst), Column::Cat(src)) => dst.extend_absorbing_dict(src),
-                _ => {
-                    for i in 0..other.num_rows() {
-                        out.columns[idx].push(other_col.get(i))?;
-                    }
-                }
-            }
+        let mut columns = Vec::with_capacity(self.columns.len());
+        for (field, col) in self.schema.fields().iter().zip(&self.columns) {
+            columns.push(col.stacked(other.column(&field.name)?, absorb_dicts)?);
         }
-        out.num_rows += other.num_rows();
-        Ok(out)
+        Ok(Table {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            columns,
+            num_rows: self.num_rows + other.num_rows(),
+        })
     }
 
     /// A human-readable preview of the first `n` rows (used by examples and debugging).
@@ -413,6 +406,78 @@ mod tests {
             other => panic!("expected categorical, got {other:?}"),
         }
         assert!(t.concat_absorbing(&Table::new("empty")).is_err());
+    }
+
+    /// One column of every type, NULLs included.
+    fn all_types(
+        ids: &[Option<i64>],
+        xs: &[Option<f64>],
+        flags: &[Option<bool>],
+        grps: &[Option<&str>],
+    ) -> Table {
+        Table::new("t")
+            .with_column("id", Column::from_opt_i64s(ids))
+            .unwrap()
+            .with_column("x", Column::from_opt_f64s(xs))
+            .unwrap()
+            .with_column("flag", Column::Bool(flags.to_vec()))
+            .unwrap()
+            .with_column(
+                "ts",
+                Column::DateTime(ids.iter().map(|i| i.map(|i| i * 60)).collect()),
+            )
+            .unwrap()
+            .with_column("grp", Column::from_opt_strs(grps))
+            .unwrap()
+    }
+
+    /// Float cells compared by bits, so NaN and -0.0 count.
+    fn assert_same_columns(got: &Table, want: &Table) {
+        assert_eq!(got.num_rows(), want.num_rows());
+        assert_eq!(got.schema(), want.schema());
+        for (g, w) in got.columns.iter().zip(&want.columns) {
+            match (g, w) {
+                (Column::Float(g), Column::Float(w)) => assert_eq!(
+                    g.iter().map(|v| v.map(f64::to_bits)).collect::<Vec<_>>(),
+                    w.iter().map(|v| v.map(f64::to_bits)).collect::<Vec<_>>()
+                ),
+                _ => assert_eq!(g, w),
+            }
+        }
+    }
+
+    #[test]
+    fn concat_matches_row_pushes_at_exact_capacity_for_every_type() {
+        let a = all_types(
+            &[Some(1), None, Some(3)],
+            &[Some(1.5), None, Some(-0.0)],
+            &[Some(true), None, Some(false)],
+            &[Some("a"), None, Some("b")],
+        );
+        let b = all_types(
+            &[None, Some(5), Some(6)],
+            &[Some(f64::NAN), Some(0.0), None],
+            &[Some(false), None, Some(true)],
+            &[Some("c"), Some("a"), None],
+        );
+        let empty = a.head(0);
+        for other in [&b, &a, &empty] {
+            let mut pushed = a.clone();
+            for (idx, field) in a.schema.fields().iter().enumerate() {
+                let src = other.column(&field.name).unwrap();
+                for row in 0..other.num_rows() {
+                    pushed.columns[idx].push(src.get(row)).unwrap();
+                }
+            }
+            pushed.num_rows += other.num_rows();
+            for out in [a.concat(other).unwrap(), a.concat_absorbing(other).unwrap()] {
+                assert_same_columns(&out, &pushed);
+                for (field, col) in out.schema.fields().iter().zip(&out.columns) {
+                    assert_eq!(col.len(), out.num_rows(), "{}", field.name);
+                    assert_eq!(col.capacity(), col.len(), "{} over-allocated", field.name);
+                }
+            }
+        }
     }
 
     #[test]
